@@ -237,6 +237,9 @@ def check(suite, params, generic_q, fmt, out):
     """Run a verification suite and exit 0/1/2 for PASS/FAIL/ERROR."""
     try:
         bindings = _parse_params(params)
+        if generic_q and "q" in bindings:
+            raise CLIError("--generic-q keeps q independent of u; it cannot be "
+                           "combined with a bound q")
     except CLIError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

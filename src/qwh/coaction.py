@@ -476,23 +476,6 @@ def pin_free_coefficients(
     return pins, CheckReport.from_items(suite, items)
 
 
-def degree_bucket(
-    p: NCPoly, mixed: MixedAlgebra, grading: Optional[Dict[int, int]] = None
-) -> Dict[int, NCPoly]:
-    """Partition a block-sorted mixed polynomial by the degree of its group
-    prefix; the buckets sum back to the input."""
-    grading = grading if grading is not None else mixed.group.degree
-    if grading is None:
-        raise CoactionError("no grading available")
-    out: Dict[int, NCPoly] = {}
-    for w, c in p.terms.items():
-        g_part, _ = mixed.split_word(w)
-        d = sum(grading[g] for g in g_part)
-        cur = out.setdefault(d, NCPoly.zero(p.table))
-        out[d] = cur + NCPoly.word(p.table, w, c)
-    return {d: q for d, q in out.items() if not q.is_zero()}
-
-
 def ansatz_check(suite: str = "ansatz", bindings=None) -> CheckReport:
     """Suite wrapper for the degree-filtered ansatz analysis: the general
     one-form ansatz forces its three obstruction coefficients to zero, the

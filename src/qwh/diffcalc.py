@@ -10,15 +10,14 @@ in the variables performs differentiation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from . import scalar as sc
-from .freealg import GenTable, MonomialOrder, NCPoly, Word
+from .freealg import GenTable, MonomialOrder, NCPoly
 from .linalg import ScalarMatrix, pair_to_lin, rhat_builtin
+from .memo import memoised
 from .presentations import Presentation, builtin
 from .report import CheckItem, CheckReport
 from .rewrite import RewriteSystem, build_rules, diamond_check
-from .scalar import Scalar
 
 
 class DiffCalcError(Exception):
@@ -121,18 +120,12 @@ def wz_relations(
     )
 
 
-_CACHE: Dict[str, object] = {}
-
-
 def wz_system(generic_q: bool = False, bindings=None) -> RewriteSystem:
-    if bindings:
+    def make():
         pres = wz_relations(generic_q=generic_q, bindings=bindings)
         return build_rules(pres.relations, pres.order, pres.table)
-    key = f"wz:{generic_q}"
-    if key not in _CACHE:
-        pres = wz_relations(generic_q=generic_q)
-        _CACHE[key] = build_rules(pres.relations, pres.order, pres.table)
-    return _CACHE[key]
+
+    return memoised(("wz", generic_q), bindings, make)
 
 
 def wz_confluence(

@@ -88,11 +88,6 @@ class MonomialOrder:
         return (len(w), tuple(-self.rank[g] for g in w))
 
 
-def word_cmp(a: Word, b: Word, ord: MonomialOrder) -> str:
-    c = ord.cmp(a, b)
-    return "LT" if c < 0 else ("GT" if c > 0 else "EQ")
-
-
 class NCPoly:
     """Finite Scalar-linear combination of words over a fixed table."""
 
@@ -268,11 +263,3 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self.render()})"
-
-
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a * b
-
-
-def leading_term(p: NCPoly, ord: MonomialOrder) -> Tuple[Word, Scalar]:
-    return p.leading_term(ord)

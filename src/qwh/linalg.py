@@ -123,9 +123,6 @@ class ScalarMatrix:
     def columns(self) -> List[List[Scalar]]:
         return [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
 
-    def render_rows(self) -> List[List[str]]:
-        return [[str(e) for e in row] for row in self.entries]
-
 
 # ---------------------------------------------------------------------------
 # the built-in 9x9 matrix

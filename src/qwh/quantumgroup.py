@@ -12,6 +12,7 @@ from typing import Dict, List, Optional, Tuple
 from . import scalar as sc
 from .freealg import GenTable, MonomialOrder, NCPoly, Word
 from .linalg import ScalarMatrix, pair_to_lin, rhat_builtin, span_equal
+from .memo import memoised
 from .presentations import (
     Presentation,
     T_DEGREES,
@@ -155,15 +156,6 @@ def rtt_relations(
     )
 
 
-_CACHE: Dict[str, object] = {}
-
-
-def _cached(key, make):
-    if key not in _CACHE:
-        _CACHE[key] = make()
-    return _CACHE[key]
-
-
 def group_presentation(which: str, bindings=None) -> Presentation:
     """The working presentation of either Hopf algebra's matrix part:
     transcribed relations for H8, RTT-generated ones for H10."""
@@ -171,9 +163,9 @@ def group_presentation(which: str, bindings=None) -> Presentation:
         pres = builtin("TT7")
         return pres.substitute(bindings) if bindings else pres
     if which == "H10":
-        if bindings:
-            return rtt_relations(ngen=9, bindings=bindings)
-        return _cached("rtt9", lambda: rtt_relations(ngen=9))
+        return memoised(
+            "rtt9", bindings, lambda: rtt_relations(ngen=9, bindings=bindings)
+        )
     raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
 
 
@@ -190,9 +182,7 @@ def group_system(which: str, bindings=None) -> RewriteSystem:
             )
         return done
 
-    if bindings:
-        return make()
-    return _cached(f"system:{which}", make)
+    return memoised(("system", which), bindings, make)
 
 
 def rtt7_span_check(
@@ -368,9 +358,7 @@ def extended_system(which: str, bindings=None) -> RewriteSystem:
         lifted = [_lift(r, pres.table, ext.table) for r in pres.relations]
         return build_rules(lifted + ext.relations, ext.order, ext.table)
 
-    if bindings:
-        return make()
-    return _cached(f"extended:{which}", make)
+    return memoised(("extended", which), bindings, make)
 
 
 def _lift(p: NCPoly, src: GenTable, dst: GenTable) -> NCPoly:

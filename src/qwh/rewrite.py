@@ -112,10 +112,6 @@ class RewriteSystem:
         return self.find_redex(w) is None
 
 
-def normal_form(p: NCPoly, sys: RewriteSystem) -> NCPoly:
-    return sys.normal_form(p)
-
-
 # ---------------------------------------------------------------------------
 # building systems from relation lists
 # ---------------------------------------------------------------------------

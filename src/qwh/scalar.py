@@ -205,26 +205,6 @@ S = PARAMS["s"]
 Q = PARAMS["q"]
 
 
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown op {op!r}")
-
-
-def substitute(x: Scalar, bindings) -> Scalar:
-    return x.substitute(bindings)
-
-
-def is_zero(x: Scalar) -> bool:
-    return x.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""The shared memo of presentations and rewrite systems: one entry per
+artifact and point, the most recent point only, equal to a fresh build, and
+never mutated by the suites that share it."""
+
+import gc
+import weakref
+from fractions import Fraction
+
+import pytest
+
+from qwh.cli import _SUITES
+from qwh.diffcalc import wz_relations, wz_system
+from qwh.memo import bindings_key
+from qwh.presentations import builtin
+from qwh.quantumgroup import (
+    _lift,
+    extended_system,
+    group_presentation,
+    group_system,
+    rtt_relations,
+)
+from qwh.rewrite import build_rules, complete
+
+POINT = {"u": 2, "s": 3}
+
+
+def _artifacts(bindings):
+    return {
+        "rtt9": group_presentation("H10", bindings),
+        "wz": wz_system(bindings=bindings),
+        "wz-generic-q": wz_system(generic_q=True, bindings=bindings),
+        "system-H8": group_system("H8", bindings),
+        "system-H10": group_system("H10", bindings),
+        "extended-H8": extended_system("H8", bindings),
+        "extended-H10": extended_system("H10", bindings),
+    }
+
+
+def test_equal_rationals_give_equal_keys():
+    assert bindings_key({"u": 2, "s": 3}) == bindings_key(
+        {"s": Fraction(3), "u": Fraction(4, 2)}
+    )
+    assert bindings_key(None) == bindings_key({}) == ()
+    assert bindings_key({"u": 2}) != bindings_key({"u": 3})
+
+
+def test_same_point_shares_and_a_new_point_evicts():
+    first = _artifacts(dict(POINT))
+    again = _artifacts({"s": Fraction(3), "u": Fraction(2)})
+    assert all(again[k] is first[k] for k in first)
+
+    refs = {k: weakref.ref(v) for k, v in first.items()}
+    other = _artifacts({"u": 3, "s": 3})
+    assert all(other[k] is not first[k] for k in first)
+    del first, again
+    gc.collect()
+    assert all(ref() is None for ref in refs.values()), "old point still held"
+
+    # the symbolic entries survive any number of points
+    assert wz_system() is wz_system()
+    assert group_system("H10") is group_system(which="H10", bindings={})
+
+
+def _rules(system):
+    return [(r.lhs, r.rhs) for r in system.rules]
+
+
+@pytest.mark.parametrize("bindings", [None, POINT], ids=["symbolic", "u=2,s=3"])
+def test_memoised_systems_match_fresh_builds(bindings):
+    def at(pres):
+        return pres.substitute(bindings) if bindings else pres
+
+    wz = wz_relations(bindings=bindings)
+    assert _rules(wz_system(bindings=bindings)) == _rules(
+        build_rules(wz.relations, wz.order, wz.table)
+    )
+
+    rtt9 = rtt_relations(ngen=9, bindings=bindings)
+    assert group_presentation("H10", bindings).relations == rtt9.relations
+    assert _rules(group_system("H10", bindings)) == _rules(
+        complete(rtt9.rewrite_system(), max_word_len=3)
+    )
+
+    for which, pres in (("H8", at(builtin("TT7"))), ("H10", rtt9)):
+        ext = at(builtin("TDinv" if which == "H8" else "tdinv"))
+        lifted = [_lift(r, pres.table, ext.table) for r in pres.relations]
+        fresh = build_rules(lifted + ext.relations, ext.order, ext.table)
+        assert _rules(extended_system(which, bindings)) == _rules(fresh)
+
+
+def _snapshot(obj):
+    if hasattr(obj, "relations"):  # a Presentation
+        return [dict(p.terms) for p in obj.relations]
+    return [(r.lhs, dict(r.rhs.terms)) for r in obj.rules]
+
+
+def _cached_objects():
+    return {
+        (point, name): obj
+        for point, bindings in (("symbolic", None), ("u=2,s=3", POINT))
+        for name, obj in _artifacts(bindings).items()
+    }
+
+
+def test_suites_leave_cached_objects_unchanged():
+    cached = _cached_objects()
+    before = {k: _snapshot(v) for k, v in cached.items()}
+
+    for bindings in (None, dict(POINT)):
+        for runner, _ in _SUITES.values():
+            assert runner(bindings, False).status == "PASS"
+
+    after = _cached_objects()
+    assert all(after[k] is cached[k] for k in cached)
+    assert {k: _snapshot(v) for k, v in cached.items()} == before

@@ -54,6 +54,18 @@ def test_check_fail_exit_one():
     assert "FAIL" in res.output
 
 
+def test_generic_q_with_bound_q_exit_two():
+    # a report labelled q=generic must never have been computed at a fixed q
+    for suite in ("rtt-7", "all"):
+        res = run(["check", "--suite", suite, "--generic-q", "--params", "u=2,q=4"])
+        assert res.exit_code == 2
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--generic-q" in lines[0] and "q" in lines[0]
+        assert "Traceback" not in res.output
+
+
 def test_unknown_suite_exit_two_lists_registry():
     res = run(["check", "--suite", "nope"])
     assert res.exit_code == 2
