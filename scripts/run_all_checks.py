@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from qwh.cli import _SUITES, _parse_params
+from qwh.cli import _SUITES, CLIError, _parse_params, run_suite
 
 
 def main() -> int:
@@ -20,12 +20,16 @@ def main() -> int:
     ap.add_argument("--json", default=None, help="write the full reports here")
     args = ap.parse_args()
 
-    bindings = _parse_params(args.params) or None
+    try:
+        bindings = _parse_params(args.params)
+    except CLIError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = []
     worst = 0
-    for name, (runner, _) in _SUITES.items():
+    for name in _SUITES:
         start = time.monotonic()
-        rep = runner(bindings, False)
+        rep = run_suite(name, bindings, False)
         elapsed = time.monotonic() - start
         reports.append(rep)
         n_fail = len(rep.failures)

@@ -47,17 +47,12 @@ from .rewrite import build_rules
 # suite registry
 # ---------------------------------------------------------------------------
 
-def _rhat(bindings):
-    R = rhat_builtin()
-    return R.substitute(bindings) if bindings else R
-
-
 def _suite_ybe(bindings, generic_q):
-    return ybe_check(_rhat(bindings))
+    return ybe_check(rhat_builtin(bindings))
 
 
 def _suite_involution(bindings, generic_q):
-    return involution_check(_rhat(bindings))
+    return involution_check(rhat_builtin(bindings))
 
 
 def _suite_eigen(bindings, generic_q):
@@ -71,12 +66,9 @@ def _suite_constraints(bindings, generic_q):
 
 
 def _comodule(space_name, suite, bindings):
-    space = builtin(space_name)
-    group = builtin("TT7")
-    if bindings:
-        space = space.substitute(bindings)
-        group = group.substitute(bindings)
-    return comodule_check(space, group, suite=suite)
+    return comodule_check(
+        builtin(space_name, bindings), builtin("TT7", bindings), suite=suite
+    )
 
 
 def _suite_comodule_x(bindings, generic_q):
@@ -148,6 +140,21 @@ def suite_names():
     return list(_SUITES) + ["all"]
 
 
+def run_suite(name: str, bindings, generic_q: bool) -> CheckReport:
+    """The report of one registered suite, labelled with its parameters.  A
+    suite that raises reports ERROR with the exception's message."""
+    runner, supports_gq = _SUITES[name]
+    gq = generic_q and supports_gq
+    try:
+        rep = runner(bindings or None, gq)
+    except Exception as exc:  # surface as ERROR, exit 2
+        rep = CheckReport.error(name, f"{type(exc).__name__}: {exc}")
+    rep.params = {k: str(v) for k, v in (bindings or {}).items()}
+    if gq:
+        rep.params["q"] = "generic"
+    return rep
+
+
 class CLIError(Exception):
     pass
 
@@ -177,20 +184,17 @@ def _parse_params(text: Optional[str]) -> Dict[str, Fraction]:
 
 def _load_presentation(name_or_path: str, bindings):
     if name_or_path in BUILTIN_NAMES:
-        pres = builtin(name_or_path)
-    else:
-        try:
-            with open(name_or_path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CLIError(
-                f"{name_or_path!r} is neither a builtin presentation "
-                f"({', '.join(BUILTIN_NAMES)}) nor a readable file: {exc}"
-            ) from None
-        pres = parse_presentation(text, file=name_or_path)
-    if bindings:
-        pres = pres.substitute(bindings)
-    return pres
+        return builtin(name_or_path, bindings)
+    try:
+        with open(name_or_path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CLIError(
+            f"{name_or_path!r} is neither a builtin presentation "
+            f"({', '.join(BUILTIN_NAMES)}) nor a readable file: {exc}"
+        ) from None
+    pres = parse_presentation(text, file=name_or_path)
+    return pres.substitute(bindings) if bindings else pres
 
 
 def _emit(report_dicts, texts, fmt, out):
@@ -264,20 +268,7 @@ def check(suite, params, generic_q, fmt, out):
         )
         sys.exit(2)
 
-    params_used = {k: str(v) for k, v in bindings.items()}
-    reports = []
-    for name in names:
-        runner, supports_gq = _SUITES[name]
-        gq = generic_q and supports_gq
-        try:
-            rep = runner(bindings or None, gq)
-        except Exception as exc:  # surface as ERROR, exit 2
-            rep = CheckReport.error(name, f"{type(exc).__name__}: {exc}")
-        rep.params = dict(params_used)
-        if gq:
-            rep.params["q"] = "generic"
-        reports.append(rep)
-
+    reports = [run_suite(name, bindings, generic_q) for name in names]
     _emit([r.to_dict() for r in reports], [r.render_text() for r in reports], fmt, out)
     sys.exit(_status_exit([r.status for r in reports]))
 
@@ -305,18 +296,16 @@ def normalize(algebra, expr, params):
 @click.option("--params", "-p", default=None, help="Rational bindings, e.g. u=2,s=3.")
 def derivative(index, expr, params):
     """Apply a derivative of the invariant calculus to a variable polynomial."""
-    xspace = builtin("xspace")
     try:
-        bindings = _parse_params(params)
-        if bindings:
-            xspace = xspace.substitute(bindings)
+        bindings = _parse_params(params) or None
+        xspace = builtin("xspace", bindings)
         poly = parse_poly_text(expr, xspace.table)
         if index not in (1, 2, 3):
             raise CLIError(f"derivative index must be 1..3, got {index}")
     except (CLIError, ParseError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    out = apply_derivative(index, poly, bindings=bindings or None)
+    out = apply_derivative(index, poly, bindings=bindings)
     system = build_rules(xspace.relations, xspace.order, xspace.table)
     click.echo(system.normal_form(out).render(xspace.order))
 
@@ -338,7 +327,7 @@ def derive(ansatz, params):
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     name = "ansatz_xi" if ansatz == "xi" else "ansatz_xi3sq_variant"
-    system = ansatz_solve(builtin(name), bindings=bindings or None)
+    system = ansatz_solve(builtin(name, bindings), builtin("TT7", bindings))
     click.echo(system.render())
     sys.exit(1 if system.inconsistent else 0)
 

@@ -42,6 +42,8 @@ class MixedAlgebra:
         self.table = GenTable(names)
         self.order = self._mixed_order()
         self.n_space = len(space.table)
+        self.from_space = {g: g for g in range(self.n_space)}
+        self.from_group = {g: self.n_space + g for g in range(len(group.table))}
 
     def _mixed_order(self) -> MonomialOrder:
         # space block keeps its own precedence, group block likewise
@@ -55,32 +57,18 @@ class MixedAlgebra:
 
     # -- embeddings -------------------------------------------------------
 
-    def space_gid(self, gid: int) -> int:
-        return gid
-
-    def group_gid(self, gid: int) -> int:
-        return self.n_space + gid
-
     def lift_space(self, p: NCPoly) -> NCPoly:
-        return NCPoly(
-            self.table, {tuple(self.space_gid(g) for g in w): c for w, c in p.terms.items()}
-        )
+        return p.relabel(self.table, self.from_space)
 
     def lift_group(self, p: NCPoly) -> NCPoly:
-        return NCPoly(
-            self.table, {tuple(self.group_gid(g) for g in w): c for w, c in p.terms.items()}
-        )
+        return p.relabel(self.table, self.from_group)
 
     def cross_relations(self) -> List[NCPoly]:
-        out = []
-        for z in range(len(self.space.table)):
-            for g in range(len(self.group.table)):
-                zz, gg = self.space_gid(z), self.group_gid(g)
-                out.append(
-                    NCPoly.word(self.table, (zz, gg))
-                    - NCPoly.word(self.table, (gg, zz))
-                )
-        return out
+        return [
+            NCPoly.word(self.table, (z, g)) - NCPoly.word(self.table, (g, z))
+            for z in self.from_space.values()
+            for g in self.from_group.values()
+        ]
 
     def split_word(self, w: Word) -> Tuple[Word, Word]:
         """Block-sorted word -> (group part in group table, space part in
@@ -103,7 +91,7 @@ class MixedAlgebra:
             if ggen is None:
                 continue
             out = out + NCPoly.word(
-                self.table, (self.group_gid(ggen), self.space_gid(target))
+                self.table, (self.from_group[ggen], self.from_space[target])
             )
         return out
 
@@ -220,15 +208,9 @@ def constraint_span_check(suite: str = "constraints", bindings=None) -> CheckRep
     invariance relations (mutual membership, generic q)."""
     from .linalg import span_contains, span_equal
 
-    group = builtin("TT7")
-    space = builtin("xspace_generic_q")
-    if bindings:
-        group = group.substitute(bindings)
-        space = space.substitute(bindings)
-    derived = derive_group_constraints(space, group)
-    transcribed = transcribed_T_constraints(group.table)
-    if bindings:
-        transcribed = [r.substitute_scalars(bindings) for r in transcribed]
+    group = builtin("TT7", bindings)
+    derived = derive_group_constraints(builtin("xspace_generic_q", bindings), group)
+    transcribed = transcribed_T_constraints(bindings)
     n = len(group.table) ** 2
     dv = quadratic_vectors(derived, group.table)
     tv = quadratic_vectors(transcribed, group.table)
@@ -387,16 +369,15 @@ def _eliminate(
 
 
 def ansatz_solve(
-    ansatz: Presentation, group: Optional[Presentation] = None, bindings=None
+    ansatz: Presentation, group: Optional[Presentation] = None
 ) -> ConstraintSystem:
     """Solve the invariance conditions on an ansatz of quadratic one-form
     relations with unknown coefficients: every degree bucket of every
-    coacted template must vanish modulo the group relations."""
+    coacted template must vanish modulo the group relations.  Both
+    presentations are used as given (group defaults to the symbolic
+    seven-generator group); pass them specialised to solve at a point."""
     if group is None:
         group = builtin("TT7")
-    if bindings:
-        group = group.substitute(bindings)
-        ansatz = ansatz.substitute(bindings)
     equations = ansatz_bucket_equations(ansatz, group)
     solved, residual, witnesses = _eliminate(equations)
     ordered = {n: solved[n] for n in ANSATZ_UNKNOWNS if n in solved}
@@ -410,7 +391,7 @@ def ansatz_solve(
 
 
 def pin_free_coefficients(
-    group: Optional[Presentation] = None, suite: str = "ansatz-pin", bindings=None
+    suite: str = "ansatz-pin", bindings=None
 ) -> Tuple[Dict[str, Scalar], CheckReport]:
     """Re-derive the one-form structure constants independently: substitute
     the forced zeros into the ansatz, pin the rest from the comodule
@@ -419,12 +400,8 @@ def pin_free_coefficients(
     from .linalg import span_equal
     from .rewrite import diamond_check
 
-    if group is None:
-        group = builtin("TT7")
-    base = builtin("ansatz_xi").substitute({"k": 0, "lam12": 0, "mu12": 0})
-    if bindings:
-        group = group.substitute(bindings)
-        base = base.substitute(bindings)
+    group = builtin("TT7", bindings)
+    base = builtin("ansatz_xi", bindings).substitute({"k": 0, "lam12": 0, "mu12": 0})
     equations = []
     for rel, residualp, mixed in comodule_residuals(base, group):
         template = rel.render(base.order)
@@ -447,19 +424,12 @@ def pin_free_coefficients(
         )
     if all(i.passed for i in items):
         pinned = base.substitute({n: v for n, v in pins.items()})
-        xis = builtin("xispace")
-        if bindings:
-            xis = xis.substitute(bindings)
+        xis = builtin("xispace", bindings)
         n = len(xis.table)
-        def to_xis(p: NCPoly) -> NCPoly:
-            return p.map_words(
-                xis.table,
-                lambda w: NCPoly.word(
-                    xis.table, tuple(xis.table.gen(pinned.table.name(g)) for g in w)
-                ),
-            )
-
-        pv = quadratic_vectors([to_xis(p) for p in pinned.relations], xis.table)
+        to_xis = pinned.table.gid_map(xis.table)
+        pv = quadratic_vectors(
+            [p.relabel(xis.table, to_xis) for p in pinned.relations], xis.table
+        )
         xv = quadratic_vectors(xis.relations, xis.table)
         items.append(
             CheckItem(
@@ -482,7 +452,8 @@ def ansatz_check(suite: str = "ansatz", bindings=None) -> CheckReport:
     variant keeping the square of the third one-form independent is
     impossible, and the remaining structure constants pin to the built-in
     one-form presentation."""
-    system = ansatz_solve(builtin("ansatz_xi"), bindings=bindings)
+    group = builtin("TT7", bindings)
+    system = ansatz_solve(builtin("ansatz_xi", bindings), group)
     zero_names = ("k", "lam12", "mu12")
     items = [
         CheckItem(
@@ -494,7 +465,7 @@ def ansatz_check(suite: str = "ansatz", bindings=None) -> CheckReport:
     items.append(
         CheckItem("general ansatz is consistent", not system.inconsistent)
     )
-    variant = ansatz_solve(builtin("ansatz_xi3sq_variant"), bindings=bindings)
+    variant = ansatz_solve(builtin("ansatz_xi3sq_variant", bindings), group)
     witness = next(
         (w for w in variant.witnesses if "xi3*xi3" in w and "degree 0" in w),
         None,

@@ -53,8 +53,8 @@ def wz_relations(
         d_l x^k  = delta^k_l + R^{km}_{ln} x^n d_m
     oriented so one-forms sort left, derivatives right."""
     if R is None:
-        R = rhat_builtin()
-    if bindings:
+        R = rhat_builtin(bindings)
+    elif bindings:
         R = R.substitute(bindings)
     _involution_guard(R)
     table = GenTable(_D_GENS + _X_GENS + _XI_GENS)
@@ -63,19 +63,13 @@ def wz_relations(
     def gen(name: str) -> NCPoly:
         return NCPoly.word(table, (table.gen(name),))
 
-    def lift(p: NCPoly, src: GenTable) -> NCPoly:
-        return NCPoly(
-            table,
-            {tuple(table.gen(src.name(g)) for g in w): c for w, c in p.terms.items()},
-        )
-
-    xspace = builtin("xspace_generic_q" if generic_q else "xspace")
-    xispace = builtin("xispace")
-    if bindings:
-        xspace = xspace.substitute(bindings)
-        xispace = xispace.substitute(bindings)
-    rels: List[NCPoly] = [lift(r, xspace.table) for r in xspace.relations]
-    rels += [lift(r, xispace.table) for r in xispace.relations]
+    rels: List[NCPoly] = []
+    for space in (
+        builtin("xspace_generic_q" if generic_q else "xspace", bindings),
+        builtin("xispace", bindings),
+    ):
+        to_wz = space.table.gid_map(table)
+        rels += [r.relabel(table, to_wz) for r in space.relations]
 
     for k in (1, 2, 3):
         for l in (1, 2, 3):
@@ -138,10 +132,6 @@ def wz_confluence(
     return diamond_check(system, suite=suite)
 
 
-def _x_table() -> GenTable:
-    return builtin("xspace").table
-
-
 def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
     """The action of the i-th derivative on a polynomial in the variables:
     reduce derivative times polynomial in the full calculus, then drop the
@@ -150,25 +140,16 @@ def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
         raise DiffCalcError(f"derivative index must be 1..3, got {i}")
     system = wz_system(bindings=bindings)
     table = system.table
-    xsrc = p.table
-    lifted = NCPoly(
-        table,
-        {
-            tuple(table.gen(xsrc.name(g)) for g in w): c
-            for w, c in p.terms.items()
-        },
-    )
+    to_wz = p.table.gid_map(table)
+    if len(to_wz) != len(p.table):
+        raise DiffCalcError(f"{p.table} has letters outside the calculus")
+    lifted = p.relabel(table, to_wz)
     image = system.normal_form(NCPoly.word(table, (table.gen(f"d{i}"),)) * lifted)
-    d_gids = {table.gen(n) for n in _D_GENS}
     xi_gids = {table.gen(n) for n in _XI_GENS}
-    out = NCPoly.zero(xsrc)
-    for w, c in image.terms.items():
-        if any(g in d_gids for g in w):
-            continue
-        if any(g in xi_gids for g in w):
-            raise DiffCalcError("one-form letter appeared while differentiating")
-        out = out + NCPoly.word(xsrc, tuple(xsrc.gen(table.name(g)) for g in w), c)
-    return out
+    if any(g in xi_gids for w in image.terms for g in w):
+        raise DiffCalcError("one-form letter appeared while differentiating")
+    # words keeping a derivative letter die: the table of p has none
+    return image.relabel(p.table, table.gid_map(p.table))
 
 
 def twisted_leibniz_check(
@@ -180,9 +161,7 @@ def twisted_leibniz_check(
     import random
 
     rng = random.Random(seed)
-    xspace = builtin("xspace")
-    if bindings:
-        xspace = xspace.substitute(bindings)
+    xspace = builtin("xspace", bindings)
     xsys = build_rules(xspace.relations, xspace.order, xspace.table)
     items = []
     for rel in xspace.relations:

@@ -39,6 +39,16 @@ class GenTable:
     def name(self, gid: int) -> str:
         return self.names[gid]
 
+    def gid_map(self, dst: "GenTable", rename=None) -> Dict[int, int]:
+        """Each generator's id in `dst` under the same name, or under
+        `rename(name)`; generators whose name `dst` lacks are left out."""
+        out = {}
+        for gid, name in enumerate(self.names):
+            target = dst.lookup(rename(name) if rename else name)
+            if target is not None:
+                out[gid] = target
+        return out
+
     def __len__(self):
         return len(self.names)
 
@@ -218,6 +228,19 @@ class NCPoly:
         return NCPoly(
             self.table, {w: c.substitute(bindings) for w, c in self.terms.items()}
         )
+
+    def relabel(self, dst: GenTable, gid_map: Dict[int, int]) -> "NCPoly":
+        """The same combination over `dst`, each letter g replaced by
+        gid_map[g].  A word with a letter missing from gid_map is dropped;
+        words that become equal add their coefficients."""
+        out: Dict[Word, Scalar] = {}
+        for w, c in self.terms.items():
+            try:
+                image = tuple(gid_map[g] for g in w)
+            except KeyError:
+                continue
+            out[image] = out[image] + c if image in out else c
+        return NCPoly(dst, out)
 
     def map_words(self, table, fn) -> "NCPoly":
         """Linear extension of a word map fn: Word -> NCPoly over `table`."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from . import scalar as sc
+from .memo import specialised
 from .presentations import Presentation, builtin
 from .report import CheckItem, CheckReport
 from .scalar import Scalar
@@ -128,9 +129,16 @@ class ScalarMatrix:
 # the built-in 9x9 matrix
 # ---------------------------------------------------------------------------
 
-def rhat_builtin() -> ScalarMatrix:
+def rhat_builtin(bindings=None) -> ScalarMatrix:
     """Exact transcription of the 9x9 deformation matrix (rows/cols in
-    pair-index order)."""
+    pair-index order), specialised at bindings if given.  Memoised through
+    `qwh.memo`, so callers must not mutate the result."""
+    return specialised(
+        "rhat", bindings, _transcribed_rhat, ScalarMatrix.substitute
+    )
+
+
+def _transcribed_rhat() -> ScalarMatrix:
     u, s = sc.U, sc.S
     m = ScalarMatrix.zero(9, 9)
     e = m.entries
@@ -337,12 +345,8 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
     printed convention first and its transpose second, reporting which one
     satisfies everything.
     """
-    R = rhat_builtin()
-    xspace, xispace = builtin("xspace"), builtin("xispace")
-    if bindings:
-        R = R.substitute(bindings)
-        xspace = xspace.substitute(bindings)
-        xispace = xispace.substitute(bindings)
+    R = rhat_builtin(bindings)
+    xspace, xispace = builtin("xspace", bindings), builtin("xispace", bindings)
     x_vecs = relation_vectors(xspace)
     xi_vecs = relation_vectors(xispace)
 
@@ -389,11 +393,8 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
 def generic_q_not_eigenspace(suite: str = "eigen-generic-q", bindings=None) -> CheckReport:
     """With q kept independent the coordinate relations stop being an
     eigenspace of the built-in matrix (either convention)."""
-    R = rhat_builtin()
-    pres = builtin("xspace_generic_q")
-    if bindings:
-        R = R.substitute(bindings)
-        pres = pres.substitute(bindings)
+    R = rhat_builtin(bindings)
+    pres = builtin("xspace_generic_q", bindings)
     vecs = relation_vectors(pres)
     items = []
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):

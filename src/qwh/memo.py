@@ -1,5 +1,6 @@
-"""One memo for the presentations and rewrite systems built from the
-deformation matrix, shared by the quantum-group and calculus modules.
+"""One memo for the built-in presentations, the deformation matrix and the
+presentations and rewrite systems built from them, shared by every module
+that reads them.
 
 An entry is keyed on the artifact (its name plus every input that changes
 it) and on the parameter bindings it was built at.  Symbolic entries are
@@ -45,3 +46,14 @@ def memoised(key: Hashable, bindings, make: Callable[[], T]) -> T:
         hit = _point[key] = make()
     return hit
 
+
+def specialised(
+    key: Hashable, bindings, make: Callable[[], T], substitute: Callable[[T, object], T]
+) -> T:
+    """The artifact ``key`` built symbolically by ``make()`` and, with
+    bindings, specialised from that symbolic build by
+    ``substitute(artifact, bindings)``; both are memoised."""
+    symbolic = memoised(key, None, make)
+    if not bindings:
+        return symbolic
+    return memoised(key, bindings, lambda: substitute(symbolic, bindings))

@@ -7,7 +7,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .exprparse import ParseError, SourceSpan, parse_poly_text
-from .freealg import GenTable, MonomialOrder, NCPoly, Word
+from .freealg import GenTable, MonomialOrder, NCPoly
+from .memo import specialised
 from .rewrite import RewriteSystem, build_rules
 
 
@@ -67,22 +68,6 @@ def check_homogeneous(p: NCPoly, degree: Dict[int, int], where="relation"):
         raise PresentationError(
             f"{where}: relation {p} is not degree-homogeneous (degrees {degs})"
         )
-
-
-def degree_of(x, pres: Presentation) -> int:
-    """Degree of a word or homogeneous polynomial under the presentation's
-    grading; the grading is additive over concatenation."""
-    if pres.degree is None:
-        raise PresentationError(f"{pres.name} carries no degree map")
-    if isinstance(x, tuple):
-        return sum(pres.degree[g] for g in x)
-    assert isinstance(x, NCPoly)
-    if x.is_zero():
-        raise PresentationError("degree of the zero polynomial is undefined")
-    degs = sorted({sum(pres.degree[g] for g in w) for w in x.terms})
-    if len(degs) > 1:
-        raise PresentationError(f"inhomogeneous polynomial; degrees found: {degs}")
-    return degs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,121 +201,105 @@ _ANSATZ_VARIANT_RELS = [
     "xi3*xi2 - mu*xi2*xi3",
 ]
 
-BUILTIN_NAMES = (
-    "classical_R",
-    "xspace",
-    "xispace",
-    "TT7",
-    "TDinv",
-    "tdinv",
-    "xspace_generic_q",
-    "ansatz_xi",
-    "ansatz_xi3sq_variant",
-)
+_BUILTINS = {
+    "classical_R": dict(
+        gens=_X_GENS,
+        params={"s"},
+        rel_texts=[
+            "x1*x2 - x2*x1 - s*x3*x3",
+            "x1*x3 - x3*x1",
+            "x2*x3 - x3*x2",
+        ],
+        vector=_X_GENS,
+    ),
+    "xspace": dict(
+        gens=_X_GENS,
+        params={"u", "s"},
+        rel_texts=[
+            "x1*x2 - u^2*x2*x1 - s*x3*x3",
+            "x1*x3 - u*x3*x1",
+            "x2*x3 - u^(-1)*x3*x2",
+        ],
+        vector=_X_GENS,
+    ),
+    "xispace": dict(
+        gens=_XI_GENS,
+        params={"u"},
+        rel_texts=[
+            "xi1*xi1",
+            "xi2*xi2",
+            "xi3*xi3",
+            "xi2*xi1 + u^(-2)*xi1*xi2",
+            "xi1*xi3 + u*xi3*xi1",
+            "xi2*xi3 + u^(-1)*xi3*xi2",
+        ],
+        vector=_XI_GENS,
+    ),
+    "TT7": dict(
+        gens=T_GENS,
+        params={"u", "s"},
+        rel_texts=_TT7_RELS,
+        degree_by_name=T_DEGREES,
+        matrix=_T7_MATRIX,
+    ),
+    "TDinv": dict(
+        gens=T_GENS + ["Dinv"],
+        params={"u"},
+        rel_texts=_TDINV_RELS,
+        degree_by_name={**T_DEGREES, "Dinv": 0},
+        matrix=_T7_MATRIX,
+    ),
+    "tdinv": dict(
+        gens=t_GENS + ["dinv"],
+        params={"u"},
+        rel_texts=_tdinv_RELS,
+        matrix=_t_matrix("t"),
+    ),
+    "xspace_generic_q": dict(
+        gens=_X_GENS,
+        params={"u", "s", "q"},
+        rel_texts=[
+            "x1*x2 - q*x2*x1 - s*x3*x3",
+            "x1*x3 - u*x3*x1",
+            "x2*x3 - u^(-1)*x3*x2",
+        ],
+        vector=_X_GENS,
+    ),
+    "ansatz_xi": dict(
+        gens=_XI_GENS,
+        params={"u", "s", "q", "k", "c21", "lam", "lam12", "mu", "mu12"},
+        rel_texts=_ANSATZ_RELS,
+        vector=_XI_GENS,
+        precedence=["xi3", "xi2", "xi1"],
+    ),
+    "ansatz_xi3sq_variant": dict(
+        gens=_XI_GENS,
+        params={"u", "s", "q", "lam", "mu"},
+        rel_texts=_ANSATZ_VARIANT_RELS,
+        vector=_XI_GENS,
+        precedence=["xi3", "xi2", "xi1"],
+    ),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-def builtin(name: str) -> Presentation:
-    """The built-in algebra presentations, loaded from fixed literal data.
+def builtin(name: str, bindings=None) -> Presentation:
+    """The built-in algebra presentations, loaded from fixed literal data
+    and, with bindings, specialised at that point.  Memoised through
+    `qwh.memo`, so callers must not mutate the result.
 
     `xspace` carries the derived constraint q=u^2 baked in; use
     `xspace_generic_q` to keep q independent and exhibit the obstruction.
     """
-    if name == "classical_R":
-        return _pres(
-            name,
-            _X_GENS,
-            {"s"},
-            [
-                "x1*x2 - x2*x1 - s*x3*x3",
-                "x1*x3 - x3*x1",
-                "x2*x3 - x3*x2",
-            ],
-            vector=_X_GENS,
-        )
-    if name == "xspace":
-        return _pres(
-            name,
-            _X_GENS,
-            {"u", "s"},
-            [
-                "x1*x2 - u^2*x2*x1 - s*x3*x3",
-                "x1*x3 - u*x3*x1",
-                "x2*x3 - u^(-1)*x3*x2",
-            ],
-            vector=_X_GENS,
-        )
-    if name == "xspace_generic_q":
-        return _pres(
-            name,
-            _X_GENS,
-            {"u", "s", "q"},
-            [
-                "x1*x2 - q*x2*x1 - s*x3*x3",
-                "x1*x3 - u*x3*x1",
-                "x2*x3 - u^(-1)*x3*x2",
-            ],
-            vector=_X_GENS,
-        )
-    if name == "xispace":
-        return _pres(
-            name,
-            _XI_GENS,
-            {"u"},
-            [
-                "xi1*xi1",
-                "xi2*xi2",
-                "xi3*xi3",
-                "xi2*xi1 + u^(-2)*xi1*xi2",
-                "xi1*xi3 + u*xi3*xi1",
-                "xi2*xi3 + u^(-1)*xi3*xi2",
-            ],
-            vector=_XI_GENS,
-        )
-    if name == "TT7":
-        return _pres(
-            name,
-            T_GENS,
-            {"u", "s"},
-            _TT7_RELS,
-            degree_by_name=T_DEGREES,
-            matrix=_T7_MATRIX,
-        )
-    if name == "TDinv":
-        return _pres(
-            name,
-            T_GENS + ["Dinv"],
-            {"u"},
-            _TDINV_RELS,
-            degree_by_name={**T_DEGREES, "Dinv": 0},
-            matrix=_T7_MATRIX,
-        )
-    if name == "tdinv":
-        return _pres(
-            name,
-            t_GENS + ["dinv"],
-            {"u"},
-            _tdinv_RELS,
-            matrix=_t_matrix("t"),
-        )
-    if name == "ansatz_xi":
-        return _pres(
-            name,
-            _XI_GENS,
-            {"u", "s", "q", "k", "c21", "lam", "lam12", "mu", "mu12"},
-            _ANSATZ_RELS,
-            vector=_XI_GENS,
-            precedence=["xi3", "xi2", "xi1"],
-        )
-    if name == "ansatz_xi3sq_variant":
-        return _pres(
-            name,
-            _XI_GENS,
-            {"u", "s", "q", "lam", "mu"},
-            _ANSATZ_VARIANT_RELS,
-            vector=_XI_GENS,
-            precedence=["xi3", "xi2", "xi1"],
-        )
-    raise PresentationError(f"unknown builtin {name!r}; valid names: {BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise PresentationError(f"unknown builtin {name!r}; valid names: {BUILTIN_NAMES}")
+    return specialised(
+        ("builtin", name),
+        bindings,
+        lambda: _pres(name, **_BUILTINS[name]),
+        Presentation.substitute,
+    )
 
 
 # quadratic constraints on the quantum-matrix entries forced by invariance
@@ -352,12 +321,16 @@ _T_CONSTRAINT_TEXTS = [
 ]
 
 
-def transcribed_T_constraints(table: Optional[GenTable] = None) -> List[NCPoly]:
+def transcribed_T_constraints(bindings=None) -> List[NCPoly]:
     """The twelve quantum-matrix constraints derived from coordinate-space
-    invariance, transcribed verbatim (generic q)."""
-    if table is None:
-        table = builtin("TT7").table
-    return [NCPoly.parse(table, t) for t in _T_CONSTRAINT_TEXTS]
+    invariance, transcribed verbatim (generic q) over the seven-generator
+    table, and specialised at bindings if given.  Memoised like `builtin`."""
+    return specialised(
+        "T-constraints",
+        bindings,
+        lambda: [NCPoly.parse(builtin("TT7").table, t) for t in _T_CONSTRAINT_TEXTS],
+        lambda rels, b: [r.substitute_scalars(b) for r in rels],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +432,3 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
         order=MonomialOrder.default(table),
         degree=degree,
     )
-
-
-def print_presentation(pres: Presentation) -> str:
-    lines = [f"algebra {pres.name}"]
-    if pres.params:
-        ordered = [p for p in sc.PARAM_NAMES if p in pres.params]
-        lines.append(f"params {' '.join(ordered)}")
-    lines.append(f"generators {' > '.join(pres.table.names)}")
-    if pres.degree is not None:
-        for gid, d in sorted(pres.degree.items()):
-            if d != 0:
-                lines.append(f"degree {pres.table.name(gid)} = {d}")
-    for r in pres.relations:
-        lines.append(f"rel {r.render(pres.order)} = 0")
-    return "\n".join(lines) + "\n"

@@ -6,13 +6,14 @@ embedding of the 7-generator quantum group into the 9-generator one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
-from .freealg import GenTable, MonomialOrder, NCPoly, Word
+from .freealg import GenTable, MonomialOrder, NCPoly
 from .linalg import ScalarMatrix, pair_to_lin, rhat_builtin, span_equal
-from .memo import memoised
+from .memo import memoised, specialised
 from .presentations import (
     Presentation,
     T_DEGREES,
@@ -56,6 +57,17 @@ class QuantumMatrix:
         r, c = rc
         return self.entries[r - 1][c - 1]
 
+    @staticmethod
+    def of_grid(table: GenTable, grid) -> "QuantumMatrix":
+        """Generator words from a 3x3 grid of ids (None = entry forced to zero)."""
+        return QuantumMatrix(
+            table,
+            [
+                [NCPoly.zero(table) if g is None else NCPoly.generator(table, g) for g in row]
+                for row in grid
+            ],
+        )
+
     def mul(self, other: "QuantumMatrix") -> "QuantumMatrix":
         out = []
         for i in range(3):
@@ -74,14 +86,7 @@ def generator_matrix(pres: Presentation) -> QuantumMatrix:
     forces an entry to vanish)."""
     if pres.matrix is None:
         raise QuantumGroupError(f"{pres.name} carries no quantum-matrix structure")
-    entries = [
-        [
-            NCPoly.zero(pres.table) if g is None else NCPoly.word(pres.table, (g,))
-            for g in row
-        ]
-        for row in pres.matrix
-    ]
-    return QuantumMatrix(pres.table, entries)
+    return QuantumMatrix.of_grid(pres.table, pres.matrix)
 
 
 def matrix_from_texts(table: GenTable, texts: List[List[str]]) -> QuantumMatrix:
@@ -91,6 +96,21 @@ def matrix_from_texts(table: GenTable, texts: List[List[str]]) -> QuantumMatrix:
 # ---------------------------------------------------------------------------
 # RTT relations
 # ---------------------------------------------------------------------------
+
+def _rtt_identities(R: ScalarMatrix, M: QuantumMatrix):
+    """Yield ((j, i, m, n), R^{ji}_{kl} T^k_m T^l_n - T^j_l T^i_k R^{lk}_{mn})
+    for all 81 index choices, in lexicographic order, with T = M."""
+    for j, i, m, n in product((1, 2, 3), repeat=4):
+        rel = NCPoly.zero(M.table)
+        for k, l in product((1, 2, 3), repeat=2):
+            c = R[pair_to_lin(j, i), pair_to_lin(k, l)]
+            if not c.is_zero():
+                rel = rel + (M[k, m] * M[l, n]).scale(c)
+            c = R[pair_to_lin(l, k), pair_to_lin(m, n)]
+            if not c.is_zero():
+                rel = rel - (M[j, l] * M[i, k]).scale(c)
+        yield (j, i, m, n), rel
+
 
 def rtt_relations(
     R: Optional[ScalarMatrix] = None, ngen: int = 9, bindings=None
@@ -102,8 +122,8 @@ def rtt_relations(
     zeroed."""
     builtin_R = R is None
     if builtin_R:
-        R = rhat_builtin()
-    if bindings:
+        R = rhat_builtin(bindings)
+    elif bindings:
         R = R.substitute(bindings)
     if ngen == 9:
         table = GenTable(t_GENS)
@@ -121,25 +141,11 @@ def rtt_relations(
     else:
         raise QuantumGroupError(f"ngen must be 7 or 9, got {ngen}")
     order = MonomialOrder.default(table)
-
-    def entry(i: int, j: int) -> NCPoly:
-        g = grid[i - 1][j - 1]
-        if g is None:
-            return NCPoly.zero(table)
-        return NCPoly.word(table, (g,))
-
-    raw = []
-    for j, i, m, n in product((1, 2, 3), repeat=4):
-        rel = NCPoly.zero(table)
-        for k, l in product((1, 2, 3), repeat=2):
-            c = R[pair_to_lin(j, i), pair_to_lin(k, l)]
-            if not c.is_zero():
-                rel = rel + (entry(k, m) * entry(l, n)).scale(c)
-            c = R[pair_to_lin(l, k), pair_to_lin(m, n)]
-            if not c.is_zero():
-                rel = rel - (entry(j, l) * entry(i, k)).scale(c)
-        if not rel.is_zero():
-            raw.append(rel)
+    raw = [
+        rel
+        for _, rel in _rtt_identities(R, QuantumMatrix.of_grid(table, grid))
+        if not rel.is_zero()
+    ]
     rows = interreduce_relations(raw, order)
     params = frozenset().union(*[c.params_used() for r in rows for c in r.terms.values()]) \
         if rows else frozenset()
@@ -160,8 +166,7 @@ def group_presentation(which: str, bindings=None) -> Presentation:
     """The working presentation of either Hopf algebra's matrix part:
     transcribed relations for H8, RTT-generated ones for H10."""
     if which == "H8":
-        pres = builtin("TT7")
-        return pres.substitute(bindings) if bindings else pres
+        return builtin("TT7", bindings)
     if which == "H10":
         return memoised(
             "rtt9", bindings, lambda: rtt_relations(ngen=9, bindings=bindings)
@@ -196,15 +201,11 @@ def rtt7_span_check(
     from .presentations import transcribed_T_constraints
 
     derived = rtt_relations(ngen=7, bindings=bindings)
-    tt7 = builtin("TT7")
-    if bindings:
-        tt7 = tt7.substitute(bindings)
+    tt7 = builtin("TT7", bindings)
     n = len(tt7.table) ** 2
     dv = quadratic_vectors(derived.relations, derived.table)
     if generic_q:
-        target = transcribed_T_constraints(tt7.table)
-        if bindings:
-            target = [r.substitute_scalars(bindings) for r in target]
+        target = transcribed_T_constraints(bindings)
         label = (
             f"RTT relations ({len(derived.relations)} independent) span the"
             " generic-q invariance constraints"
@@ -246,38 +247,27 @@ def intertwiner_check(
 ) -> CheckReport:
     """All 81 instances of the defining identity hold in the quotient."""
     if R is None:
-        R = rhat_builtin()
-    if group is None:
-        group = builtin("TT7")
-    if bindings:
+        R = rhat_builtin(bindings)
+    elif bindings:
         R = R.substitute(bindings)
+    if group is None:
+        group = builtin("TT7", bindings)
+    elif bindings:
         group = group.substitute(bindings)
     system = build_rules(group.relations, group.order, group.table)
-    M = generator_matrix(group)
-    items = []
-    for j, i in product((1, 2, 3), repeat=2):
-        worst = None
-        for m, n in product((1, 2, 3), repeat=2):
-            rel = NCPoly.zero(group.table)
-            for k, l in product((1, 2, 3), repeat=2):
-                c = R[pair_to_lin(j, i), pair_to_lin(k, l)]
-                if not c.is_zero():
-                    rel = rel + (M[k, m] * M[l, n]).scale(c)
-                c = R[pair_to_lin(l, k), pair_to_lin(m, n)]
-                if not c.is_zero():
-                    rel = rel - (M[j, l] * M[i, k]).scale(c)
-            residual = system.normal_form(rel)
-            if not residual.is_zero() and worst is None:
-                worst = (m, n, residual)
-        items.append(
-            CheckItem(
-                f"row pair ({j},{i}): all 9 column instances reduce to 0",
-                worst is None,
-                residual=None
-                if worst is None
-                else f"({j}{i}|{worst[0]}{worst[1]}): {worst[2].render(group.order)}",
-            )
+    worst = {}  # row pair (j, i) -> its first failing instance
+    for (j, i, m, n), rel in _rtt_identities(R, generator_matrix(group)):
+        residual = system.normal_form(rel)
+        if not residual.is_zero() and (j, i) not in worst:
+            worst[j, i] = f"({j}{i}|{m}{n}): {residual.render(group.order)}"
+    items = [
+        CheckItem(
+            f"row pair ({j},{i}): all 9 column instances reduce to 0",
+            (j, i) not in worst,
+            residual=worst.get((j, i)),
         )
+        for j, i in product((1, 2, 3), repeat=2)
+    ]
     return CheckReport.from_items(suite, items)
 
 
@@ -311,41 +301,46 @@ _ADJ9_TEXTS = [
     ["t21*t32 - u^(-2)*t22*t31", "-u^2*t11*t32 + t12*t31", "t11*t22 - u^(-2)*t12*t21"],
 ]
 
+_ADJ_TEXTS = {"H8": _ADJ7_TEXTS, "H10": _ADJ9_TEXTS}
+
 
 def determinant(which: str, bindings=None) -> NCPoly:
     """The quantum determinant, transcribed (D7 as the two-term product
-    form expanded, d9 as the printed six-term sum)."""
+    form expanded, d9 as the printed six-term sum).  Memoised like
+    `builtin`."""
     if which == "D7":
-        det = NCPoly.parse(builtin("TT7").table, _D7_TEXT)
+        group, text = "H8", _D7_TEXT
     elif which == "d9":
-        det = NCPoly.parse(group_presentation("H10").table, _d9_TEXT)
+        group, text = "H10", _d9_TEXT
     else:
         raise QuantumGroupError(f"unknown determinant {which!r}; expected D7 or d9")
-    return det.substitute_scalars(bindings) if bindings else det
+    return specialised(
+        ("det", which),
+        bindings,
+        lambda: NCPoly.parse(group_presentation(group).table, text),
+        NCPoly.substitute_scalars,
+    )
 
 
 def adjugate(which: str, bindings=None) -> QuantumMatrix:
-    """The printed inverse matrix without its determinant-inverse factor."""
-    if which == "H8":
-        qm = matrix_from_texts(builtin("TT7").table, _ADJ7_TEXTS)
-    elif which == "H10":
-        qm = matrix_from_texts(group_presentation("H10").table, _ADJ9_TEXTS)
-    else:
+    """The printed inverse matrix without its determinant-inverse factor.
+    Memoised like `builtin`."""
+    if which not in _ADJ_TEXTS:
         raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
-    if bindings:
-        qm = QuantumMatrix(
-            qm.table, [[e.substitute_scalars(bindings) for e in row] for row in qm.entries]
-        )
-    return qm
+    return specialised(
+        ("adjugate", which),
+        bindings,
+        lambda: matrix_from_texts(group_presentation(which).table, _ADJ_TEXTS[which]),
+        lambda qm, b: QuantumMatrix(
+            qm.table, [[e.substitute_scalars(b) for e in row] for row in qm.entries]
+        ),
+    )
 
 
-def _dinv_presentation(which: str, bindings=None) -> Presentation:
-    pres = builtin("TDinv") if which == "H8" else builtin("tdinv")
-    return pres.substitute(bindings) if bindings else pres
-
-
-def _det_name(which: str) -> str:
-    return "D7" if which == "H8" else "d9"
+#: the extended presentation (matrix generators plus the determinant
+#: inverse) and the determinant of each algebra
+_EXT = {"H8": "TDinv", "H10": "tdinv"}
+_DET = {"H8": "D7", "H10": "d9"}
 
 
 def extended_system(which: str, bindings=None) -> RewriteSystem:
@@ -353,18 +348,10 @@ def extended_system(which: str, bindings=None) -> RewriteSystem:
     inverse: matrix relations lifted to the extended table, plus the
     commutation relations of the inverse."""
     def make():
-        pres = group_presentation(which, bindings)
-        ext = _dinv_presentation(which, bindings)
-        lifted = [_lift(r, pres.table, ext.table) for r in pres.relations]
-        return build_rules(lifted + ext.relations, ext.order, ext.table)
+        ext = builtin(_EXT[which], bindings)
+        return build_rules(_all_relations(which, bindings), ext.order, ext.table)
 
     return memoised(("extended", which), bindings, make)
-
-
-def _lift(p: NCPoly, src: GenTable, dst: GenTable) -> NCPoly:
-    return NCPoly(
-        dst, {tuple(dst.gen(src.name(g)) for g in w): c for w, c in p.terms.items()}
-    )
 
 
 def inverse_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckReport:
@@ -375,41 +362,34 @@ def inverse_check(which: str, suite: Optional[str] = None, bindings=None) -> Che
     suite = suite or f"inverse-{which.lower()}"
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
-    M = generator_matrix(pres)
     A = adjugate(which, bindings)
-    det = determinant(_det_name(which), bindings)
-    items = []
-    ok_right = True
-    for i, j in product((1, 2, 3), repeat=2):
-        target = det if i == j else NCPoly.zero(pres.table)
-        acc = NCPoly.zero(pres.table)
-        for k in (1, 2, 3):
-            acc = acc + M[i, k] * A[k, j]
-        if not system.normal_form(acc - target).is_zero():
-            ok_right = False
+    det = determinant(_DET[which], bindings)
+    MA = generator_matrix(pres).mul(A)
+    ok_right = all(
+        system.normal_form(MA[i, j] - det if i == j else MA[i, j]).is_zero()
+        for i, j in product((1, 2, 3), repeat=2)
+    )
     # the adjugate is one-sided by construction (the printed inverse puts
     # the determinant inverse on the right); the left inverse only holds
     # with the det-inverse weighting, checked below
-    items.append(CheckItem("matrix x adjugate = determinant x identity", ok_right))
+    items = [CheckItem("matrix x adjugate = determinant x identity", ok_right)]
 
-    ext = _dinv_presentation(which, bindings)
+    ext = builtin(_EXT[which], bindings)
     esys = extended_system(which, bindings)
-    dinv = NCPoly.word(ext.table, (ext.table.gen(ext.table.names[-1]),))
-    Me = QuantumMatrix(ext.table, [[_lift(e, pres.table, ext.table) for e in row] for row in M.entries])
-    Ae = QuantumMatrix(ext.table, [[_lift(e, pres.table, ext.table) for e in row] for row in A.entries])
-    dete = _lift(det, pres.table, ext.table)
+    to_ext = pres.table.gid_map(ext.table)
+    dinv = NCPoly.generator(ext.table, len(ext.table) - 1)
+    dete = det.relabel(ext.table, to_ext)
+    Me = generator_matrix(ext)
+    AeD = QuantumMatrix(
+        ext.table, [[e.relabel(ext.table, to_ext) * dinv for e in row] for row in A.entries]
+    )
+    right, left = Me.mul(AeD), AeD.mul(Me)
     ok_right = ok_left = True
     for i, j in product((1, 2, 3), repeat=2):
         delta = NCPoly.one(ext.table) if i == j else NCPoly.zero(ext.table)
-        acc = NCPoly.zero(ext.table)
-        for k in (1, 2, 3):
-            acc = acc + Me[i, k] * Ae[k, j] * dinv
-        if esys.normal_form(acc) != esys.normal_form(delta * dete * dinv):
+        if esys.normal_form(right[i, j]) != esys.normal_form(delta * dete * dinv):
             ok_right = False
-        acc = NCPoly.zero(ext.table)
-        for k in (1, 2, 3):
-            acc = acc + Ae[i, k] * dinv * Me[k, j]
-        if esys.normal_form(acc) != esys.normal_form(delta * dinv * dete):
+        if esys.normal_form(left[i, j]) != esys.normal_form(delta * dinv * dete):
             ok_left = False
     items.append(
         CheckItem("matrix x (adjugate x det-inverse) reduces to det x det-inverse x identity", ok_right)
@@ -447,8 +427,8 @@ def det_commutation_derive(
     suite = suite or f"det-comm-{which.lower()}"
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
-    ext = _dinv_presentation(which, bindings)
-    det = determinant(_det_name(which), bindings)
+    ext = builtin(_EXT[which], bindings)
+    det = determinant(_DET[which], bindings)
     table_factors = _dinv_table_factors(ext)
     items = []
     noncentral = False
@@ -504,32 +484,34 @@ class DoubledAlgebra:
     The left tensor factor keeps higher precedence, so normal words read
     left copy first."""
 
-    def __init__(self, ext: Presentation, relations: Optional[List[NCPoly]] = None):
+    def __init__(self, ext: Presentation, relations: List[NCPoly]):
         self.ext = ext
+        self.relations = relations
         self.n = len(ext.table)
         names = [f"{n}.l" for n in ext.table.names] + [f"{n}.r" for n in ext.table.names]
         self.table = GenTable(names)
         self.order = MonomialOrder.default(self.table)
-        cross = []
-        for a in range(self.n):
-            for b in range(self.n):
-                cross.append(
-                    NCPoly.word(self.table, (self.n + b, a))
-                    - NCPoly.word(self.table, (a, self.n + b))
-                )
-        lifted = []
-        for r in relations if relations is not None else self.ext.relations:
-            lifted.append(self.lift(r, 0))
-            lifted.append(self.lift(r, self.n))
-        self.system = build_rules(lifted + cross, self.order, self.table)
+        self.left = {g: g for g in range(self.n)}
+        self.right = {g: self.n + g for g in range(self.n)}
 
-    def lift(self, p: NCPoly, offset: int) -> NCPoly:
-        return NCPoly(
-            self.table, {tuple(g + offset for g in w): c for w, c in p.terms.items()}
-        )
+    @cached_property
+    def system(self) -> RewriteSystem:
+        """The relations in each copy plus the commutation of the copies,
+        built on first use."""
+        cross = [
+            NCPoly.word(self.table, (b, a)) - NCPoly.word(self.table, (a, b))
+            for a in self.left.values()
+            for b in self.right.values()
+        ]
+        lifted = [
+            r.relabel(self.table, copy)
+            for r in self.relations
+            for copy in (self.left, self.right)
+        ]
+        return build_rules(lifted + cross, self.order, self.table)
 
     def tensor(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        return self.lift(a, 0) * self.lift(b, self.n)
+        return a.relabel(self.table, self.left) * b.relabel(self.table, self.right)
 
 
 @dataclass
@@ -543,23 +525,17 @@ class HopfData:
     antipode_table: Dict[str, NCPoly]
 
     def coproduct(self, doubled: DoubledAlgebra, p: NCPoly) -> NCPoly:
-        grid: Dict[Tuple[int, int], Optional[int]] = {}
-        pos = {name: ij for name, ij in self.matrix_gens.items()}
+        M = generator_matrix(self.ext)
 
         def delta_gen(g: int) -> NCPoly:
             name = self.ext.table.name(g)
             if name == self.dinv_name:
-                return doubled.tensor(
-                    NCPoly.word(self.ext.table, (g,)), NCPoly.word(self.ext.table, (g,))
-                )
-            i, j = pos[name]
+                x = NCPoly.generator(self.ext.table, g)
+                return doubled.tensor(x, x)
+            i, j = self.matrix_gens[name]
             acc = NCPoly.zero(doubled.table)
             for k in (1, 2, 3):
-                left = self._entry(i, k)
-                right = self._entry(k, j)
-                if left is None or right is None:
-                    continue
-                acc = acc + doubled.tensor(left, right)
+                acc = acc + doubled.tensor(M[i, k], M[k, j])
             return acc
 
         out = NCPoly.zero(doubled.table)
@@ -569,12 +545,6 @@ class HopfData:
                 img = img * delta_gen(g)
             out = out + img.scale(c)
         return out
-
-    def _entry(self, i: int, j: int) -> Optional[NCPoly]:
-        for name, (a, b) in self.matrix_gens.items():
-            if (a, b) == (i, j):
-                return NCPoly.word(self.ext.table, (self.ext.table.gen(name),))
-        return None  # entry forced to zero by the matrix shape
 
     def counit(self, p: NCPoly) -> Scalar:
         acc = sc.ZERO
@@ -604,7 +574,8 @@ class HopfData:
 
 def hopf_data(which: str, bindings=None) -> HopfData:
     pres = group_presentation(which, bindings)
-    ext = _dinv_presentation(which, bindings)
+    ext = builtin(_EXT[which], bindings)
+    to_ext = pres.table.gid_map(ext.table)
     dinv_name = ext.table.names[-1]
     matrix_gens = {}
     for i in (1, 2, 3):
@@ -613,13 +584,13 @@ def hopf_data(which: str, bindings=None) -> HopfData:
             if g is not None:
                 matrix_gens[pres.table.name(g)] = (i, j)
     A = adjugate(which, bindings)
-    det = determinant(_det_name(which), bindings)
-    dinv = NCPoly.word(ext.table, (ext.table.gen(dinv_name),))
-    antipode_table = {}
-    for name, (i, j) in matrix_gens.items():
-        antipode_table[name] = _lift(A[i, j], pres.table, ext.table) * dinv
+    dinv = NCPoly.generator(ext.table, ext.table.gen(dinv_name))
+    antipode_table = {
+        name: A[i, j].relabel(ext.table, to_ext) * dinv
+        for name, (i, j) in matrix_gens.items()
+    }
     # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
-    antipode_table[dinv_name] = _lift(det, pres.table, ext.table)
+    antipode_table[dinv_name] = determinant(_DET[which], bindings).relabel(ext.table, to_ext)
     return HopfData(ext=ext, matrix_gens=matrix_gens, dinv_name=dinv_name,
                     antipode_table=antipode_table)
 
@@ -628,8 +599,9 @@ def _all_relations(which: str, bindings=None) -> List[NCPoly]:
     """Matrix relations lifted to the extended table, plus the commutation
     relations of the determinant inverse."""
     pres = group_presentation(which, bindings)
-    ext = _dinv_presentation(which, bindings)
-    return [_lift(r, pres.table, ext.table) for r in pres.relations] + list(ext.relations)
+    ext = builtin(_EXT[which], bindings)
+    to_ext = pres.table.gid_map(ext.table)
+    return [r.relabel(ext.table, to_ext) for r in pres.relations] + list(ext.relations)
 
 
 def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckReport:
@@ -638,8 +610,7 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
     splits the coproduct, and the antipode composes to the counit through
     the adjugate identity."""
     suite = suite or f"hopf-{which.lower()}"
-    pres = group_presentation(which, bindings)
-    ext = _dinv_presentation(which, bindings)
+    ext = builtin(_EXT[which], bindings)
     data = hopf_data(which, bindings)
     relations = _all_relations(which, bindings)
     doubled = DoubledAlgebra(ext, relations)
@@ -678,28 +649,17 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
     items.append(CheckItem("(counit x id) o coproduct = id on generators", split_ok))
 
     esys = extended_system(which, bindings)
-    det = _lift(determinant(_det_name(which), bindings), pres.table, ext.table)
-    dinv = NCPoly.word(ext.table, (ext.table.gen(data.dinv_name),))
+    det = data.antipode_table[data.dinv_name]  # S(det-inverse) = det
+    dinv = NCPoly.generator(ext.table, ext.table.gen(data.dinv_name))
+    M = generator_matrix(ext)
+    SM = QuantumMatrix(ext.table, [[data.antipode(e) for e in row] for row in M.entries])
+    left, right = SM.mul(M), M.mul(SM)
     anti_ok = True
     for name, (i, j) in data.matrix_gens.items():
         delta = NCPoly.one(ext.table) if i == j else NCPoly.zero(ext.table)
-        acc = NCPoly.zero(ext.table)
-        for k in (1, 2, 3):
-            left = data._entry(i, k)
-            right = data._entry(k, j)
-            if left is None or right is None:
-                continue
-            acc = acc + data.antipode(left) * right
-        if esys.normal_form(acc) != esys.normal_form(delta * dinv * det):
+        if esys.normal_form(left[i, j]) != esys.normal_form(delta * dinv * det):
             anti_ok = False
-        acc = NCPoly.zero(ext.table)
-        for k in (1, 2, 3):
-            left = data._entry(i, k)
-            right = data._entry(k, j)
-            if left is None or right is None:
-                continue
-            acc = acc + left * data.antipode(right)
-        if esys.normal_form(acc) != esys.normal_form(delta * det * dinv):
+        if esys.normal_form(right[i, j]) != esys.normal_form(delta * det * dinv):
             anti_ok = False
     items.append(
         CheckItem(
@@ -722,36 +682,21 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
 # the embedding H8 -> H10
 # ---------------------------------------------------------------------------
 
-def _embedding_image(p: NCPoly, src: GenTable, dst: GenTable) -> NCPoly:
-    """t^i_j -> T^i_j with the lower-left corner annihilated, d^{-1} -> D^{-1}."""
-    rename = {"dinv": "Dinv"}
-    out = NCPoly.zero(dst)
-    for w, c in p.terms.items():
-        img = []
-        dead = False
-        for g in w:
-            name = rename.get(src.name(g), src.name(g))
-            if name in ("t31", "t32"):
-                dead = True
-                break
-            img.append(dst.gen(name.replace("t", "T", 1) if name[0] == "t" else name))
-        if not dead:
-            out = out + NCPoly.word(dst, tuple(img), c)
-    return out
-
-
 def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
     """The specialization map sends every relation of the 9-generator
     algebra into the ideal of the 7-generator one and commutes with the
     Hopf structure maps on generators."""
-    h8_ext = _dinv_presentation("H8", bindings)
-    h10_ext = _dinv_presentation("H10", bindings)
+    h8_ext = builtin("TDinv", bindings)
+    h10_ext = builtin("tdinv", bindings)
+    # the map t^i_j -> T^i_j, d^{-1} -> D^{-1} renames t11 to T11 and dinv
+    # to Dinv; T31 and T32 do not exist, so words holding t31 or t32 die
+    embed = h10_ext.table.gid_map(h8_ext.table, str.capitalize)
     esys8 = extended_system("H8", bindings)
     relations10 = _all_relations("H10", bindings)
     bad = 0
     witness = None
     for r in relations10:
-        img = esys8.normal_form(_embedding_image(r, h10_ext.table, h8_ext.table))
+        img = esys8.normal_form(r.relabel(h8_ext.table, embed))
         if not img.is_zero():
             bad += 1
             if witness is None:
@@ -764,42 +709,33 @@ def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
         )
     ]
 
-    det9 = _lift(determinant("d9", bindings), group_presentation("H10").table, h10_ext.table)
-    det7 = _lift(determinant("D7", bindings), group_presentation("H8").table, h8_ext.table)
+    data8 = hopf_data("H8", bindings)
+    data10 = hopf_data("H10", bindings)
+    # each antipode sends the det-inverse to the determinant
+    det9 = data10.antipode_table[data10.dinv_name]
+    det7 = data8.antipode_table[data8.dinv_name]
     items.append(
         CheckItem(
             "9-generator determinant maps to the 7-generator determinant",
-            esys8.normal_form(_embedding_image(det9, h10_ext.table, h8_ext.table))
+            esys8.normal_form(det9.relabel(h8_ext.table, embed))
             == esys8.normal_form(det7),
         )
     )
 
-    data8 = hopf_data("H8", bindings)
-    data10 = hopf_data("H10", bindings)
     doubled8 = DoubledAlgebra(h8_ext, _all_relations("H8", bindings))
-
-    def embed_doubled(p: NCPoly, d10: DoubledAlgebra) -> NCPoly:
-        out = NCPoly.zero(doubled8.table)
-        for w, c in p.terms.items():
-            lpart = tuple(g for g in w if g < d10.n)
-            rpart = tuple(g - d10.n for g in w if g >= d10.n)
-            li = _embedding_image(NCPoly.word(h10_ext.table, lpart), h10_ext.table, h8_ext.table)
-            ri = _embedding_image(NCPoly.word(h10_ext.table, rpart), h10_ext.table, h8_ext.table)
-            out = out + doubled8.tensor(li, ri).scale(c)
-        return out
-
-    doubled10 = DoubledAlgebra(h10_ext, _all_relations("H10", bindings))
+    doubled10 = DoubledAlgebra(h10_ext, relations10)
+    embed_doubled = doubled10.table.gid_map(doubled8.table, str.capitalize)
     cop_ok = eps_ok = anti_ok = True
     for name in h10_ext.table.names:
         g10 = NCPoly.word(h10_ext.table, (h10_ext.table.gen(name),))
-        g8 = _embedding_image(g10, h10_ext.table, h8_ext.table)
-        lhs = embed_doubled(data10.coproduct(doubled10, g10), doubled10)
-        rhs = data8.coproduct(doubled8, g8) if not g8.is_zero() else NCPoly.zero(doubled8.table)
+        g8 = g10.relabel(h8_ext.table, embed)
+        lhs = data10.coproduct(doubled10, g10).relabel(doubled8.table, embed_doubled)
+        rhs = data8.coproduct(doubled8, g8)
         if doubled8.system.normal_form(lhs - rhs) != NCPoly.zero(doubled8.table):
             cop_ok = False
         if data10.counit(g10) != data8.counit(g8):
             eps_ok = False
-        lhs_s = _embedding_image(data10.antipode(g10), h10_ext.table, h8_ext.table)
+        lhs_s = data10.antipode(g10).relabel(h8_ext.table, embed)
         rhs_s = data8.antipode(g8)
         if esys8.normal_form(lhs_s - rhs_s) != NCPoly.zero(h8_ext.table):
             anti_ok = False

@@ -101,3 +101,21 @@ def test_scalar_coefficients_with_parameters():
     p = NCPoly.parse(TABLE, "u^2*a*b - s*c*c")
     q = p.substitute_scalars({"u": 3, "s": 2})
     assert q == NCPoly.parse(TABLE, "9*a*b - 2*c*c")
+
+
+def test_relabel_maps_kills_and_merges():
+    dst = GenTable(["x", "y"])
+    p = NCPoly.parse(TABLE, "2*a*b + 3*b*a + 5*c*a + 7")
+    # a and b both go to x, c has no image
+    out = p.relabel(dst, {0: 0, 1: 0})
+    assert out.table is dst
+    assert out == NCPoly.parse(dst, "5*x*x + 7")
+    assert p.relabel(dst, {0: 1, 1: 0}) == NCPoly.parse(dst, "2*y*x + 3*x*y + 7")
+    # colliding words that cancel leave no zero term behind
+    assert NCPoly.parse(TABLE, "a - b").relabel(dst, {0: 0, 1: 0}).terms == {}
+
+
+def test_gid_map_by_name():
+    dst = GenTable(["C", "A"])
+    assert TABLE.gid_map(dst) == {}
+    assert TABLE.gid_map(dst, str.upper) == {0: 1, 2: 0}

@@ -1,6 +1,6 @@
-"""The shared memo of presentations and rewrite systems: one entry per
-artifact and point, the most recent point only, equal to a fresh build, and
-never mutated by the suites that share it."""
+"""The shared memo of built-ins, presentations and rewrite systems: one
+entry per artifact and point, the most recent point only, equal to a fresh
+build, and never mutated by the suites that share it."""
 
 import gc
 import weakref
@@ -10,10 +10,20 @@ import pytest
 
 from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
+from qwh.freealg import NCPoly
+from qwh.linalg import ScalarMatrix, rhat_builtin
 from qwh.memo import bindings_key
-from qwh.presentations import builtin
+from qwh.presentations import (
+    BUILTIN_NAMES,
+    _BUILTINS,
+    _pres,
+    builtin,
+    transcribed_T_constraints,
+)
 from qwh.quantumgroup import (
-    _lift,
+    QuantumMatrix,
+    adjugate,
+    determinant,
     extended_system,
     group_presentation,
     group_system,
@@ -33,6 +43,11 @@ def _artifacts(bindings):
         "system-H10": group_system("H10", bindings),
         "extended-H8": extended_system("H8", bindings),
         "extended-H10": extended_system("H10", bindings),
+        "rhat": rhat_builtin(bindings),
+        "T-constraints": transcribed_T_constraints(bindings),
+        **{f"builtin-{name}": builtin(name, bindings) for name in BUILTIN_NAMES},
+        **{f"det-{w}": determinant(w, bindings) for w in ("D7", "d9")},
+        **{f"adjugate-{w}": adjugate(w, bindings) for w in ("H8", "H10")},
     }
 
 
@@ -49,7 +64,10 @@ def test_same_point_shares_and_a_new_point_evicts():
     again = _artifacts({"s": Fraction(3), "u": Fraction(2)})
     assert all(again[k] is first[k] for k in first)
 
-    refs = {k: weakref.ref(v) for k, v in first.items()}
+    # lists and slotted polynomials take no weak reference; the rest stand
+    # for them, since one dict holds every entry of a point
+    refs = {k: weakref.ref(v) for k, v in first.items() if type(v).__weakrefoffset__}
+    assert {"rtt9", "wz", "rhat", "builtin-TT7", "adjugate-H10"} <= set(refs)
     other = _artifacts({"u": 3, "s": 3})
     assert all(other[k] is not first[k] for k in first)
     del first, again
@@ -83,15 +101,35 @@ def test_memoised_systems_match_fresh_builds(bindings):
 
     for which, pres in (("H8", at(builtin("TT7"))), ("H10", rtt9)):
         ext = at(builtin("TDinv" if which == "H8" else "tdinv"))
-        lifted = [_lift(r, pres.table, ext.table) for r in pres.relations]
+        to_ext = pres.table.gid_map(ext.table)
+        lifted = [r.relabel(ext.table, to_ext) for r in pres.relations]
         fresh = build_rules(lifted + ext.relations, ext.order, ext.table)
         assert _rules(extended_system(which, bindings)) == _rules(fresh)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtins_at_a_point_match_fresh_substitution(name):
+    fresh = _pres(name, **_BUILTINS[name])
+    assert builtin(name).relations == fresh.relations
+    at_point = builtin(name, POINT)
+    assert at_point.relations == fresh.substitute(POINT).relations
+    assert at_point.table == fresh.table and at_point.order == fresh.order
+    assert builtin(name, {"s": Fraction(3), "u": Fraction(2)}) is at_point
+    assert builtin(name) is builtin(name, {})
+
+
 def _snapshot(obj):
+    if isinstance(obj, NCPoly):
+        return dict(obj.terms)
+    if isinstance(obj, list):
+        return [_snapshot(x) for x in obj]
+    if isinstance(obj, (ScalarMatrix, QuantumMatrix)):
+        return [[_snapshot(e) for e in row] for row in obj.entries]
     if hasattr(obj, "relations"):  # a Presentation
-        return [dict(p.terms) for p in obj.relations]
-    return [(r.lhs, dict(r.rhs.terms)) for r in obj.rules]
+        return _snapshot(obj.relations)
+    if hasattr(obj, "rules"):  # a RewriteSystem
+        return [(r.lhs, dict(r.rhs.terms)) for r in obj.rules]
+    return obj  # a Scalar
 
 
 def _cached_objects():

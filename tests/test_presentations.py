@@ -59,7 +59,7 @@ def test_transcribed_constraints_are_implied_by_TT7():
     pres = builtin("TT7")
     sys_ = build_rules(pres.relations, pres.order, pres.table)
     u2 = parse_scalar_text("u^2")
-    for rel in transcribed_T_constraints(pres.table):
+    for rel in transcribed_T_constraints():
         tied = rel.substitute_scalars({"q": u2})
         assert sys_.normal_form(tied).is_zero(), rel.render(pres.order)
 

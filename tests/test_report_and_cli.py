@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from qwh import cli
 from qwh.cli import main, suite_names
 from qwh.report import FAIL, PASS, CheckItem, CheckReport
 
@@ -75,6 +78,31 @@ def test_unknown_suite_exit_two_lists_registry():
 def test_bad_params_exit_two():
     assert run(["check", "--suite", "ybe", "--params", "zz=1"]).exit_code == 2
     assert run(["check", "--suite", "ybe", "--params", "u"]).exit_code == 2
+
+
+def test_run_all_checks_bad_params_exit_two():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    res = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_all_checks.py"),
+         "--params", "u=x"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: bad rational value 'x' for u")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_run_suite_reports_a_raising_suite_as_error(monkeypatch):
+    def boom(bindings, generic_q):
+        raise ZeroDivisionError("degenerate point")
+
+    monkeypatch.setitem(cli._SUITES, "ybe", (boom, False))
+    rep = cli.run_suite("ybe", {"u": 0}, False)
+    assert rep.status == "ERROR"
+    assert rep.message == "ZeroDivisionError: degenerate point"
+    assert rep.params == {"u": "0"}
 
 
 def test_json_output_validates_and_is_deterministic(tmp_path):
