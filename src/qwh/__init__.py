@@ -46,6 +46,7 @@ from .linalg import (
 from .presentations import (
     BUILTIN_NAMES,
     Presentation,
+    TensorAlgebra,
     builtin,
     parse_presentation,
     transcribed_T_constraints,

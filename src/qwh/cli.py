@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NoReturn, Optional, Tuple
 
 import click
 
@@ -39,8 +39,8 @@ from .quantumgroup import (
     rtt9_completion_check,
     subalgebra_check,
 )
-from .report import ERROR, FAIL, PASS, CheckItem, CheckReport
-from .rewrite import build_rules
+from .report import ERROR, FAIL, CheckItem, CheckReport
+from .rewrite import RewriteError
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,16 @@ class CLIError(Exception):
     pass
 
 
+#: what input from the command line can raise: malformed text, a point
+#: where a coefficient's denominator vanishes, an inconsistent presentation
+_INPUT_ERRORS = (CLIError, ParseError, sc.SubstitutionError, RewriteError)
+
+
+def _fail(message) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _parse_params(text: Optional[str]) -> Dict[str, Fraction]:
     if not text:
         return {}
@@ -245,28 +255,20 @@ def check(suite, params, generic_q, fmt, out):
             raise CLIError("--generic-q keeps q independent of u; it cannot be "
                            "combined with a bound q")
     except CLIError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(exc)
 
     if suite == "all":
         names = [n for n in _SUITES]
     elif suite in _SUITES:
         names = [suite]
     else:
-        click.echo(
-            f"error: unknown suite {suite!r}; registered suites: "
-            + ", ".join(suite_names()),
-            err=True,
-        )
-        sys.exit(2)
+        _fail(f"unknown suite {suite!r}; registered suites: " + ", ".join(suite_names()))
 
     if generic_q and any(not _SUITES[n][1] for n in names) and suite != "all":
-        click.echo(
-            f"error: suite {suite!r} has no generic-q variant "
-            "(supported: " + ", ".join(n for n, (_, g) in _SUITES.items() if g) + ")",
-            err=True,
+        _fail(
+            f"suite {suite!r} has no generic-q variant "
+            "(supported: " + ", ".join(n for n, (_, g) in _SUITES.items() if g) + ")"
         )
-        sys.exit(2)
 
     reports = [run_suite(name, bindings, generic_q) for name in names]
     _emit([r.to_dict() for r in reports], [r.render_text() for r in reports], fmt, out)
@@ -283,10 +285,9 @@ def normalize(algebra, expr, params):
         bindings = _parse_params(params)
         pres = _load_presentation(algebra, bindings)
         poly = parse_poly_text(expr, pres.table)
-    except (CLIError, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    system = build_rules(pres.relations, pres.order, pres.table)
+        system = pres.rewrite_system()
+    except _INPUT_ERRORS as exc:
+        _fail(exc)
     click.echo(system.normal_form(poly).render(pres.order))
 
 
@@ -302,12 +303,10 @@ def derivative(index, expr, params):
         poly = parse_poly_text(expr, xspace.table)
         if index not in (1, 2, 3):
             raise CLIError(f"derivative index must be 1..3, got {index}")
-    except (CLIError, ParseError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    out = apply_derivative(index, poly, bindings=bindings)
-    system = build_rules(xspace.relations, xspace.order, xspace.table)
-    click.echo(system.normal_form(out).render(xspace.order))
+        out = apply_derivative(index, poly, bindings=bindings)
+    except _INPUT_ERRORS as exc:
+        _fail(exc)
+    click.echo(xspace.rewrite_system().normal_form(out).render(xspace.order))
 
 
 @main.command()
@@ -321,13 +320,12 @@ def derivative(index, expr, params):
 def derive(ansatz, params):
     """Solve the invariance constraints of a one-form ansatz and print the
     resulting constraint system."""
+    name = "ansatz_xi" if ansatz == "xi" else "ansatz_xi3sq_variant"
     try:
         bindings = _parse_params(params)
-    except CLIError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    name = "ansatz_xi" if ansatz == "xi" else "ansatz_xi3sq_variant"
-    system = ansatz_solve(builtin(name, bindings), builtin("TT7", bindings))
+        system = ansatz_solve(builtin(name, bindings), builtin("TT7", bindings))
+    except _INPUT_ERRORS as exc:
+        _fail(exc)
     click.echo(system.render())
     sys.exit(1 if system.inconsistent else 0)
 

@@ -1,25 +1,25 @@
 """Left coaction of the quantum matrices on quantum spaces.
 
-A MixedAlgebra joins a group block (quantum-matrix entries) with a space
-block (coordinates or one-forms); cross relations make every group letter
-commute with every space letter, and block-sorted normal words carry the
-group prefix first.
+A MixedAlgebra is the tensor product of a space block (coordinates or
+one-forms) with a group block (quantum-matrix entries); normal words carry
+the group letters first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from . import scalar as sc
-from .freealg import GenTable, MonomialOrder, NCPoly, Word
+from .freealg import NCPoly, Word
+from .linalg import quadratic_vectors, span_contains, span_equal
 from .presentations import (
     Presentation,
+    TensorAlgebra,
     builtin,
     transcribed_T_constraints,
 )
 from .report import CheckItem, CheckReport
-from .rewrite import RewriteSystem, build_rules
+from .rewrite import diamond_check
 from .scalar import Scalar
 
 
@@ -27,105 +27,60 @@ class CoactionError(Exception):
     pass
 
 
-class MixedAlgebra:
-    """Combined table: space generators first (higher precedence, so they
-    migrate to the right of group letters in normal form)."""
+class MixedAlgebra(TensorAlgebra):
+    """The space block tensored with the group block, with the coaction
+    delta(x_i) = sum_j T_ij (x) x_j of each space generator."""
 
     def __init__(self, group: Presentation, space: Presentation):
         if group.matrix is None:
             raise CoactionError(f"{group.name} carries no quantum-matrix structure")
         if space.vector is None:
             raise CoactionError(f"{space.name} is not a space presentation")
+        super().__init__(space, group)
         self.group = group
         self.space = space
-        names = [f"{n}" for n in space.table.names] + list(group.table.names)
-        self.table = GenTable(names)
-        self.order = self._mixed_order()
-        self.n_space = len(space.table)
-        self.from_space = {g: g for g in range(self.n_space)}
-        self.from_group = {g: self.n_space + g for g in range(len(group.table))}
-
-    def _mixed_order(self) -> MonomialOrder:
-        # space block keeps its own precedence, group block likewise
-        space_names = sorted(
-            self.space.table.names, key=lambda n: self.space.order.rank[self.space.table.gen(n)]
-        )
-        group_names = sorted(
-            self.group.table.names, key=lambda n: self.group.order.rank[self.group.table.gen(n)]
-        )
-        return MonomialOrder.from_precedence(self.table, space_names + group_names)
-
-    # -- embeddings -------------------------------------------------------
-
-    def lift_space(self, p: NCPoly) -> NCPoly:
-        return p.relabel(self.table, self.from_space)
-
-    def lift_group(self, p: NCPoly) -> NCPoly:
-        return p.relabel(self.table, self.from_group)
-
-    def cross_relations(self) -> List[NCPoly]:
-        return [
-            NCPoly.word(self.table, (z, g)) - NCPoly.word(self.table, (g, z))
-            for z in self.from_space.values()
-            for g in self.from_group.values()
-        ]
-
-    def split_word(self, w: Word) -> Tuple[Word, Word]:
-        """Block-sorted word -> (group part in group table, space part in
-        space table)."""
-        g_part, s_part = [], []
-        for letter in w:
-            if letter < self.n_space:
-                s_part.append(letter)
-            else:
-                g_part.append(letter - self.n_space)
-        return tuple(g_part), tuple(s_part)
-
-    # -- the coaction -----------------------------------------------------
-
-    def coact_generator(self, space_gid: int) -> NCPoly:
-        row = self.space.vector.index(space_gid)
-        out = NCPoly.zero(self.table)
-        for col, target in enumerate(self.space.vector):
-            ggen = self.group.matrix[row][col]
-            if ggen is None:
-                continue
-            out = out + NCPoly.word(
-                self.table, (self.from_group[ggen], self.from_space[target])
-            )
-        return out
+        self.images = {}
+        for row, x in enumerate(space.vector):
+            image = NCPoly.zero(self.table)
+            for col, target in enumerate(space.vector):
+                g = group.matrix[row][col]
+                if g is not None:
+                    image = image + NCPoly.word(
+                        self.table, (self.second[g], self.first[target])
+                    )
+            self.images[x] = image
 
     def coact(self, p: NCPoly) -> NCPoly:
         """delta extended multiplicatively to polynomials; result is not
-        block-sorted (reduce against cross rules to sort)."""
+        block-sorted (reduce against the commutation rules to sort)."""
         if p.table != self.space.table:
             raise CoactionError("polynomial is not over the space generators")
-
-        def image(w: Word) -> NCPoly:
-            out = NCPoly.one(self.table)
-            for g in w:
-                out = out * self.coact_generator(g)
-            return out
-
-        return p.map_words(self.table, image)
-
-    def collect_space_coefficients(self, p: NCPoly) -> Dict[Word, NCPoly]:
-        """Block-sorted polynomial -> map space word -> group-coefficient."""
-        out: Dict[Word, NCPoly] = {}
-        for w, c in p.terms.items():
-            g_part, s_part = self.split_word(w)
-            if any(letter >= self.n_space for letter in s_part):
-                raise CoactionError("word not block-sorted")
-            cur = out.setdefault(s_part, NCPoly.zero(self.group.table))
-            out[s_part] = cur + NCPoly.word(self.group.table, g_part, c)
-        return {w: p for w, p in out.items() if not p.is_zero()}
+        return p.map_letters(self.table, self.images)
 
 
 def coact(p: NCPoly, group: Presentation, space: Presentation) -> NCPoly:
     """Block-sorted coaction image of a space polynomial."""
     mixed = MixedAlgebra(group, space)
-    sort_sys = build_rules(mixed.cross_relations(), mixed.order, mixed.table)
-    return sort_sys.normal_form(mixed.coact(p))
+    return mixed.rewrite_system().normal_form(mixed.coact(p))
+
+
+def _coacted_coefficients(
+    space: Presentation, group: Presentation
+) -> Iterator[Tuple[NCPoly, Word, NCPoly]]:
+    """(space relation, normal space word, its group coefficient) over the
+    coaction image of each space relation, normal-ordered modulo the space
+    relations and the commutation of the blocks; space words ascend within
+    each relation."""
+    mixed = MixedAlgebra(group, space)
+    system = mixed.rewrite_system(space.relations)
+    for rel in space.relations:
+        coeffs: Dict[Word, NCPoly] = {}
+        for w, c in system.normal_form(mixed.coact(rel)).terms.items():
+            sword, gword = mixed.split(w)
+            cur = coeffs.get(sword, NCPoly.zero(group.table))
+            coeffs[sword] = cur + NCPoly.word(group.table, gword, c)
+        for sword in sorted(coeffs):
+            yield rel, sword, coeffs[sword]
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +92,7 @@ def comodule_residuals(
 ) -> List[Tuple[NCPoly, NCPoly, MixedAlgebra]]:
     """(space relation, residual of its coaction image, mixed context)."""
     mixed = MixedAlgebra(group, space)
-    relations = (
-        [mixed.lift_group(r) for r in group.relations]
-        + [mixed.lift_space(r) for r in space.relations]
-        + mixed.cross_relations()
-    )
-    joint = build_rules(relations, mixed.order, mixed.table)
+    joint = mixed.rewrite_system(space.relations, group.relations)
     return [
         (rel, joint.normal_form(mixed.coact(rel)), mixed) for rel in space.relations
     ]
@@ -154,7 +104,7 @@ def comodule_check(
     suite: Optional[str] = None,
 ) -> CheckReport:
     """Every space relation must map to zero under the coaction, modulo the
-    group relations, the cross relations, and the space relations."""
+    group relations, the space relations and the commutation of the two."""
     suite = suite or f"comodule({space.name},{group.name})"
     items = []
     for rel, residual, mixed in comodule_residuals(space, group):
@@ -176,38 +126,12 @@ def derive_group_constraints(
     {group word x normal space word}, and return the group coefficients."""
     if group is None:
         group = builtin("TT7")
-    mixed = MixedAlgebra(group, space)
-    relations = [mixed.lift_space(r) for r in space.relations] + mixed.cross_relations()
-    sort_sys = build_rules(relations, mixed.order, mixed.table)
-    out: List[NCPoly] = []
-    for rel in space.relations:
-        sorted_image = sort_sys.normal_form(mixed.coact(rel))
-        for _, coeff in sorted(
-            mixed.collect_space_coefficients(sorted_image).items()
-        ):
-            out.append(coeff)
-    return [p for p in out if not p.is_zero()]
-
-
-def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]]:
-    """Quadratic polynomials as vectors over the ordered length-2 words."""
-    n = len(table)
-    out = []
-    for p in polys:
-        v = [sc.ZERO] * (n * n)
-        for w, c in p.terms.items():
-            if len(w) != 2:
-                raise CoactionError(f"non-quadratic term in {p}")
-            v[w[0] * n + w[1]] = c
-        out.append(v)
-    return out
+    return [coeff for _, _, coeff in _coacted_coefficients(space, group)]
 
 
 def constraint_span_check(suite: str = "constraints", bindings=None) -> CheckReport:
     """Derived coordinate-space constraints span exactly the transcribed
     invariance relations (mutual membership, generic q)."""
-    from .linalg import span_contains, span_equal
-
     group = builtin("TT7", bindings)
     derived = derive_group_constraints(builtin("xspace_generic_q", bindings), group)
     transcribed = transcribed_T_constraints(bindings)
@@ -271,27 +195,6 @@ def _unknowns_in(x: Scalar) -> List[str]:
     return [name for name in ANSATZ_UNKNOWNS if name in used]
 
 
-def _reduce_mod_span(
-    p: NCPoly, rows: List[NCPoly], order: MonomialOrder
-) -> NCPoly:
-    """Reduce against an interreduced list of monic relations (linear
-    elimination on the quadratic words; terminates since leading words
-    strictly drop)."""
-    leads = {}
-    for r in rows:
-        w, c = r.leading_term(order)
-        leads[w] = r.scale(sc.ONE / c)
-    changed = True
-    while changed and not p.is_zero():
-        changed = False
-        for w, c in list(p.terms.items()):
-            r = leads.get(w)
-            if r is not None:
-                p = p - r.scale(c)
-                changed = True
-    return p
-
-
 def ansatz_bucket_equations(
     ansatz: Presentation, group: Presentation
 ) -> List[Tuple[str, Scalar]]:
@@ -301,32 +204,25 @@ def ansatz_bucket_equations(
     the group relations.  Whatever survives must vanish identically."""
     if group.degree is None:
         raise CoactionError(f"{group.name} carries no degree grading")
-    mixed = MixedAlgebra(group, ansatz)
-    sort_rels = [mixed.lift_space(r) for r in ansatz.relations] + mixed.cross_relations()
-    sort_sys = build_rules(sort_rels, mixed.order, mixed.table)
-    from .rewrite import interreduce_relations
-
-    rows = interreduce_relations(group.relations, group.order)
+    group_sys = group.rewrite_system()
     equations: List[Tuple[str, Scalar]] = []
-    for rel in ansatz.relations:
+    for rel, sword, coeff in _coacted_coefficients(ansatz, group):
         template = rel.render(ansatz.order)
-        image = sort_sys.normal_form(mixed.coact(rel))
-        for sword, coeff in sorted(mixed.collect_space_coefficients(image).items()):
-            sname = "*".join(ansatz.table.name(g) for g in sword)
-            buckets: Dict[int, NCPoly] = {}
-            for w, c in coeff.terms.items():
-                d = sum(group.degree[g] for g in w)
-                cur = buckets.setdefault(d, NCPoly.zero(group.table))
-                buckets[d] = cur + NCPoly.word(group.table, w, c)
-            for d in sorted(buckets):
-                reduced = _reduce_mod_span(buckets[d], rows, group.order)
-                for w, c in sorted(reduced.terms.items()):
-                    wname = "*".join(group.table.name(g) for g in w)
-                    label = (
-                        f"coact({template}): coefficient of {wname} (x) {sname}"
-                        f" at degree {d}"
-                    )
-                    equations.append((label, c))
+        sname = "*".join(ansatz.table.name(g) for g in sword)
+        buckets: Dict[int, NCPoly] = {}
+        for w, c in coeff.terms.items():
+            d = sum(group.degree[g] for g in w)
+            cur = buckets.setdefault(d, NCPoly.zero(group.table))
+            buckets[d] = cur + NCPoly.word(group.table, w, c)
+        for d in sorted(buckets):
+            reduced = group_sys.normal_form(buckets[d])
+            for w, c in sorted(reduced.terms.items()):
+                wname = "*".join(group.table.name(g) for g in w)
+                label = (
+                    f"coact({template}): coefficient of {wname} (x) {sname}"
+                    f" at degree {d}"
+                )
+                equations.append((label, c))
     return equations
 
 
@@ -397,9 +293,6 @@ def pin_free_coefficients(
     the forced zeros into the ansatz, pin the rest from the comodule
     residual equations, and confirm the pinned system is confluent and
     spans the built-in one-form relations."""
-    from .linalg import span_equal
-    from .rewrite import diamond_check
-
     group = builtin("TT7", bindings)
     base = builtin("ansatz_xi", bindings).substitute({"k": 0, "lam12": 0, "mu12": 0})
     equations = []
@@ -437,9 +330,7 @@ def pin_free_coefficients(
                 span_equal(pv, xv, n * n),
             )
         )
-        joint = diamond_check(
-            build_rules(xis.relations, xis.order, xis.table), suite="xi-diamond"
-        )
+        joint = diamond_check(xis.rewrite_system(), suite="xi-diamond")
         items.append(CheckItem("pinned one-form system is confluent", joint.ok))
         mixed_rep = comodule_check(pinned, group)
         items.append(CheckItem("pinned ansatz is a comodule", mixed_rep.ok))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import scalar as sc
@@ -248,6 +248,19 @@ class NCPoly:
         for w, c in self.terms.items():
             out = out + fn(w).scale(c)
         return out
+
+    def map_letters(self, table, images, reverse=False) -> "NCPoly":
+        """The algebra map sending each letter g to images[g] (an NCPoly
+        over `table`), extended linearly; with reverse, the
+        anti-homomorphism, which multiplies the images in reverse order."""
+
+        def image(w: Word) -> NCPoly:
+            out = NCPoly.one(table)
+            for g in reversed(w) if reverse else w:
+                out = out * images[g]
+            return out
+
+        return self.map_words(table, image)
 
     def max_word_len(self) -> int:
         return max((len(w) for w in self.terms), default=0)

@@ -6,11 +6,12 @@ Pair indices (i, j), i, j in {1,2,3}, are linearized row-major:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import scalar as sc
+from .freealg import GenTable, NCPoly
 from .memo import specialised
-from .presentations import Presentation, builtin
+from .presentations import builtin
 from .report import CheckItem, CheckReport
 from .scalar import Scalar
 
@@ -303,6 +304,22 @@ def span_equal(a: List[List[Scalar]], b: List[List[Scalar]], n: int) -> bool:
     return span_contains(a, b, n) and span_contains(b, a, n)
 
 
+def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]]:
+    """Quadratic polynomials as vectors over the length-2 words, the word
+    (a, b) at component a * len(table) + b.  For a 3-generator space whose
+    vector order is its table order, these are the pair-index components."""
+    n = len(table)
+    out = []
+    for p in polys:
+        v = [sc.ZERO] * (n * n)
+        for w, c in p.terms.items():
+            if len(w) != 2:
+                raise LinalgError(f"non-quadratic term in {p}")
+            v[w[0] * n + w[1]] = c
+        out.append(v)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # eigenstructure
 # ---------------------------------------------------------------------------
@@ -318,25 +335,6 @@ def eigensplit(R: ScalarMatrix):
     return column_space_basis(p_plus), column_space_basis(p_minus)
 
 
-def relation_vectors(pres: Presentation) -> List[List[Scalar]]:
-    """Quadratic relations of a 3-generator presentation as 9-vectors in
-    pair-index components."""
-    if pres.vector is None or len(pres.vector) != 3:
-        raise LinalgError(f"{pres.name} is not a 3-generator space presentation")
-    pos = {gid: idx for idx, gid in enumerate(pres.vector)}
-    out = []
-    for rel in pres.relations:
-        v = [sc.ZERO] * 9
-        for w, c in rel.terms.items():
-            if len(w) != 2 or w[0] not in pos or w[1] not in pos:
-                raise LinalgError(
-                    f"non-quadratic term in relation {rel.render(pres.order)}"
-                )
-            v[3 * pos[w[0]] + pos[w[1]]] = c
-        out.append(v)
-    return out
-
-
 def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckReport:
     """Identify the two eigenspaces of the built-in matrix with the spans of
     the coordinate-space and one-form-space relations.
@@ -347,8 +345,8 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
     """
     R = rhat_builtin(bindings)
     xspace, xispace = builtin("xspace", bindings), builtin("xispace", bindings)
-    x_vecs = relation_vectors(xspace)
-    xi_vecs = relation_vectors(xispace)
+    x_vecs = quadratic_vectors(xspace.relations, xspace.table)
+    xi_vecs = quadratic_vectors(xispace.relations, xispace.table)
 
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):
         vp, vm = eigensplit(M)
@@ -395,7 +393,7 @@ def generic_q_not_eigenspace(suite: str = "eigen-generic-q", bindings=None) -> C
     eigenspace of the built-in matrix (either convention)."""
     R = rhat_builtin(bindings)
     pres = builtin("xspace_generic_q", bindings)
-    vecs = relation_vectors(pres)
+    vecs = quadratic_vectors(pres.relations, pres.table)
     items = []
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):
         vp, vm = eigensplit(M)

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .exprparse import ParseError, SourceSpan, parse_poly_text
-from .freealg import GenTable, MonomialOrder, NCPoly
+from .freealg import GenTable, MonomialOrder, NCPoly, Word
 from .memo import specialised
 from .rewrite import RewriteSystem, build_rules
 
@@ -60,6 +60,50 @@ class Presentation:
 
     def parse(self, text: str) -> NCPoly:
         return NCPoly.parse(self.table, text)
+
+
+class TensorAlgebra:
+    """The tensor product of two presented algebras: one table holding the
+    first block's generators, then the second's, with every letter of one
+    block commuting with every letter of the other.
+
+    Each block keeps its own precedence and the first block ranks above
+    the second, so the commutation rules move second-block letters left:
+    a normal word reads its second-block letters first, and the normal
+    form of tensor(a, b) is b's word followed by a's.
+    """
+
+    def __init__(self, first: Presentation, second: Presentation, names=None):
+        n = len(first.table)
+        self.table = GenTable(names or first.table.names + second.table.names)
+        self.order = MonomialOrder(
+            first.order.rank + tuple(n + r for r in second.order.rank)
+        )
+        #: gid maps from each block's table into the joint one
+        self.first = {g: g for g in range(n)}
+        self.second = {g: n + g for g in range(len(second.table))}
+
+    def tensor(self, a: NCPoly, b: NCPoly) -> NCPoly:
+        """a (x) b, for a over the first block and b over the second."""
+        return a.relabel(self.table, self.first) * b.relabel(self.table, self.second)
+
+    def split(self, w: Word) -> Tuple[Word, Word]:
+        """A joint word as (its first-block letters, its second-block
+        letters), each over its own block's table."""
+        n = len(self.first)
+        return tuple(g for g in w if g < n), tuple(g - n for g in w if g >= n)
+
+    def rewrite_system(self, first_relations=(), second_relations=()) -> RewriteSystem:
+        """Relations of each block, lifted to the joint table, plus the
+        commutation of the two blocks."""
+        relations = [r.relabel(self.table, self.first) for r in first_relations]
+        relations += [r.relabel(self.table, self.second) for r in second_relations]
+        relations += [
+            NCPoly.word(self.table, (a, b)) - NCPoly.word(self.table, (b, a))
+            for a in self.first.values()
+            for b in self.second.values()
+        ]
+        return build_rules(relations, self.order, self.table)
 
 
 def check_homogeneous(p: NCPoly, degree: Dict[int, int], where="relation"):

@@ -12,14 +12,22 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .freealg import GenTable, MonomialOrder, NCPoly
-from .linalg import ScalarMatrix, pair_to_lin, rhat_builtin, span_equal
+from .linalg import (
+    ScalarMatrix,
+    pair_to_lin,
+    quadratic_vectors,
+    rhat_builtin,
+    span_equal,
+)
 from .memo import memoised, specialised
 from .presentations import (
     Presentation,
     T_DEGREES,
     T_GENS,
+    TensorAlgebra,
     builtin,
     t_GENS,
+    transcribed_T_constraints,
 )
 from .report import CheckItem, CheckReport
 from .rewrite import (
@@ -66,6 +74,12 @@ class QuantumMatrix:
                 [NCPoly.zero(table) if g is None else NCPoly.generator(table, g) for g in row]
                 for row in grid
             ],
+        )
+
+    def relabel(self, dst: GenTable, gid_map: Dict[int, int]) -> "QuantumMatrix":
+        """Every entry relabelled by `NCPoly.relabel`."""
+        return QuantumMatrix(
+            dst, [[e.relabel(dst, gid_map) for e in row] for row in self.entries]
         )
 
     def mul(self, other: "QuantumMatrix") -> "QuantumMatrix":
@@ -197,9 +211,6 @@ def rtt7_span_check(
     list of the 7-generator quantum group.  With generic_q, the comparison
     target is the invariance-constraint span with q kept independent, which
     the RTT span cannot reproduce."""
-    from .coaction import quadratic_vectors
-    from .presentations import transcribed_T_constraints
-
     derived = rtt_relations(ngen=7, bindings=bindings)
     tt7 = builtin("TT7", bindings)
     n = len(tt7.table) ** 2
@@ -479,120 +490,90 @@ def _dinv_table_factors(ext: Presentation) -> Dict[str, Scalar]:
 # Hopf structure
 # ---------------------------------------------------------------------------
 
-class DoubledAlgebra:
-    """Two commuting copies of the extended algebra, for coproduct checks.
-    The left tensor factor keeps higher precedence, so normal words read
-    left copy first."""
-
-    def __init__(self, ext: Presentation, relations: List[NCPoly]):
-        self.ext = ext
-        self.relations = relations
-        self.n = len(ext.table)
-        names = [f"{n}.l" for n in ext.table.names] + [f"{n}.r" for n in ext.table.names]
-        self.table = GenTable(names)
-        self.order = MonomialOrder.default(self.table)
-        self.left = {g: g for g in range(self.n)}
-        self.right = {g: self.n + g for g in range(self.n)}
-
-    @cached_property
-    def system(self) -> RewriteSystem:
-        """The relations in each copy plus the commutation of the copies,
-        built on first use."""
-        cross = [
-            NCPoly.word(self.table, (b, a)) - NCPoly.word(self.table, (a, b))
-            for a in self.left.values()
-            for b in self.right.values()
-        ]
-        lifted = [
-            r.relabel(self.table, copy)
-            for r in self.relations
-            for copy in (self.left, self.right)
-        ]
-        return build_rules(lifted + cross, self.order, self.table)
-
-    def tensor(self, a: NCPoly, b: NCPoly) -> NCPoly:
-        return a.relabel(self.table, self.left) * b.relabel(self.table, self.right)
+#: the ground field, as the free algebra on no generators
+_GROUND = GenTable([])
 
 
 @dataclass
 class HopfData:
-    """Coproduct, counit, and antipode on the generators of the extended
-    algebra (matrix entries plus determinant inverse)."""
+    """Coproduct, counit and antipode of the extended algebra (matrix
+    entries plus determinant inverse).  Each is the algebra map fixed by
+    its images of the generators, listed by generator id; the antipode is
+    an anti-homomorphism.  The coproduct lands in `doubled`, two commuting
+    copies of the extended algebra, left copy first."""
 
     ext: Presentation
+    relations: List[NCPoly]
+    doubled: TensorAlgebra
     matrix_gens: Dict[str, Tuple[int, int]]
     dinv_name: str
-    antipode_table: Dict[str, NCPoly]
+    coproduct_images: List[NCPoly]
+    counit_images: List[NCPoly]
+    antipode_images: List[NCPoly]
 
-    def coproduct(self, doubled: DoubledAlgebra, p: NCPoly) -> NCPoly:
-        M = generator_matrix(self.ext)
+    @cached_property
+    def doubled_system(self) -> RewriteSystem:
+        """The relations in each copy plus the commutation of the copies,
+        built on first use."""
+        return self.doubled.rewrite_system(self.relations, self.relations)
 
-        def delta_gen(g: int) -> NCPoly:
-            name = self.ext.table.name(g)
-            if name == self.dinv_name:
-                x = NCPoly.generator(self.ext.table, g)
-                return doubled.tensor(x, x)
-            i, j = self.matrix_gens[name]
-            acc = NCPoly.zero(doubled.table)
-            for k in (1, 2, 3):
-                acc = acc + doubled.tensor(M[i, k], M[k, j])
-            return acc
-
-        out = NCPoly.zero(doubled.table)
-        for w, c in p.terms.items():
-            img = NCPoly.one(doubled.table)
-            for g in w:
-                img = img * delta_gen(g)
-            out = out + img.scale(c)
-        return out
+    def coproduct(self, p: NCPoly) -> NCPoly:
+        return p.map_letters(self.doubled.table, self.coproduct_images)
 
     def counit(self, p: NCPoly) -> Scalar:
-        acc = sc.ZERO
-        for w, c in p.terms.items():
-            val = c
-            for g in w:
-                name = self.ext.table.name(g)
-                if name == self.dinv_name:
-                    continue  # counit 1
-                i, j = self.matrix_gens[name]
-                if i != j:
-                    val = sc.ZERO
-                    break
-            acc = acc + val
-        return acc
+        return p.map_letters(_GROUND, self.counit_images).as_scalar()
 
     def antipode(self, p: NCPoly) -> NCPoly:
-        """Anti-homomorphic extension of the generator table."""
-        out = NCPoly.zero(self.ext.table)
-        for w, c in p.terms.items():
-            img = NCPoly.one(self.ext.table)
-            for g in reversed(w):
-                img = img * self.antipode_table[self.ext.table.name(g)]
-            out = out + img.scale(c)
-        return out
+        return p.map_letters(self.ext.table, self.antipode_images, reverse=True)
 
 
 def hopf_data(which: str, bindings=None) -> HopfData:
-    pres = group_presentation(which, bindings)
+    """The Hopf structure of H8 or H10 on its extended algebra."""
     ext = builtin(_EXT[which], bindings)
+    pres = group_presentation(which, bindings)
     to_ext = pres.table.gid_map(ext.table)
     dinv_name = ext.table.names[-1]
-    matrix_gens = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            g = pres.matrix[i - 1][j - 1]
-            if g is not None:
-                matrix_gens[pres.table.name(g)] = (i, j)
-    A = adjugate(which, bindings)
     dinv = NCPoly.generator(ext.table, ext.table.gen(dinv_name))
-    antipode_table = {
-        name: A[i, j].relabel(ext.table, to_ext) * dinv
-        for name, (i, j) in matrix_gens.items()
+    matrix_gens = {
+        ext.table.name(g): (i, j)
+        for i, row in enumerate(ext.matrix, start=1)
+        for j, g in enumerate(row, start=1)
+        if g is not None
     }
-    # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
-    antipode_table[dinv_name] = determinant(_DET[which], bindings).relabel(ext.table, to_ext)
-    return HopfData(ext=ext, matrix_gens=matrix_gens, dinv_name=dinv_name,
-                    antipode_table=antipode_table)
+    doubled = TensorAlgebra(
+        ext, ext, [f"{n}.{side}" for side in "lr" for n in ext.table.names]
+    )
+    M = generator_matrix(ext)
+    delta = M.relabel(doubled.table, doubled.first).mul(
+        M.relabel(doubled.table, doubled.second)
+    )
+    A = adjugate(which, bindings).relabel(ext.table, to_ext)
+    coproduct_images, counit_images, antipode_images = [], [], []
+    for name in ext.table.names:
+        if name == dinv_name:
+            coproduct_images.append(doubled.tensor(dinv, dinv))
+            counit_images.append(NCPoly.one(_GROUND))
+            # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
+            antipode_images.append(
+                determinant(_DET[which], bindings).relabel(ext.table, to_ext)
+            )
+        else:
+            i, j = matrix_gens[name]
+            coproduct_images.append(delta[i, j])
+            counit_images.append(
+                NCPoly.one(_GROUND) if i == j else NCPoly.zero(_GROUND)
+            )
+            antipode_images.append(A[i, j] * dinv)
+    return HopfData(
+        ext=ext,
+        relations=_all_relations(which, bindings),
+        doubled=doubled,
+        matrix_gens=matrix_gens,
+        dinv_name=dinv_name,
+        coproduct_images=coproduct_images,
+        counit_images=counit_images,
+        antipode_images=antipode_images,
+    )
 
 
 def _all_relations(which: str, bindings=None) -> List[NCPoly]:
@@ -610,19 +591,17 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
     splits the coproduct, and the antipode composes to the counit through
     the adjugate identity."""
     suite = suite or f"hopf-{which.lower()}"
-    ext = builtin(_EXT[which], bindings)
     data = hopf_data(which, bindings)
-    relations = _all_relations(which, bindings)
-    doubled = DoubledAlgebra(ext, relations)
+    ext, relations = data.ext, data.relations
 
     bad = 0
     witness = None
     for r in relations:
-        img = doubled.system.normal_form(data.coproduct(doubled, r))
+        img = data.doubled_system.normal_form(data.coproduct(r))
         if not img.is_zero():
             bad += 1
             if witness is None:
-                witness = img.render(doubled.order)
+                witness = img.render(data.doubled.order)
     items = [
         CheckItem(
             f"coproduct preserves all {len(relations)} relations",
@@ -636,12 +615,10 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
     split_ok = True
     for name in ext.table.names:
         g = NCPoly.word(ext.table, (ext.table.gen(name),))
-        img = data.coproduct(doubled, g)
         # (counit x id) on the doubled word: evaluate the left copy
         back = NCPoly.zero(ext.table)
-        for w, c in img.terms.items():
-            lpart = tuple(g2 for g2 in w if g2 < doubled.n)
-            rpart = tuple(g2 - doubled.n for g2 in w if g2 >= doubled.n)
+        for w, c in data.coproduct(g).terms.items():
+            lpart, rpart = data.doubled.split(w)
             back = back + NCPoly.word(ext.table, rpart, c * data.counit(
                 NCPoly.word(ext.table, lpart)))
         if back != g:
@@ -649,8 +626,8 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
     items.append(CheckItem("(counit x id) o coproduct = id on generators", split_ok))
 
     esys = extended_system(which, bindings)
-    det = data.antipode_table[data.dinv_name]  # S(det-inverse) = det
     dinv = NCPoly.generator(ext.table, ext.table.gen(data.dinv_name))
+    det = data.antipode(dinv)  # S(det-inverse) = det
     M = generator_matrix(ext)
     SM = QuantumMatrix(ext.table, [[data.antipode(e) for e in row] for row in M.entries])
     left, right = SM.mul(M), M.mul(SM)
@@ -692,7 +669,9 @@ def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
     # to Dinv; T31 and T32 do not exist, so words holding t31 or t32 die
     embed = h10_ext.table.gid_map(h8_ext.table, str.capitalize)
     esys8 = extended_system("H8", bindings)
-    relations10 = _all_relations("H10", bindings)
+    data8 = hopf_data("H8", bindings)
+    data10 = hopf_data("H10", bindings)
+    relations10 = data10.relations
     bad = 0
     witness = None
     for r in relations10:
@@ -709,11 +688,9 @@ def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
         )
     ]
 
-    data8 = hopf_data("H8", bindings)
-    data10 = hopf_data("H10", bindings)
     # each antipode sends the det-inverse to the determinant
-    det9 = data10.antipode_table[data10.dinv_name]
-    det7 = data8.antipode_table[data8.dinv_name]
+    det9 = data10.antipode_images[h10_ext.table.gen(data10.dinv_name)]
+    det7 = data8.antipode_images[h8_ext.table.gen(data8.dinv_name)]
     items.append(
         CheckItem(
             "9-generator determinant maps to the 7-generator determinant",
@@ -722,16 +699,15 @@ def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
         )
     )
 
-    doubled8 = DoubledAlgebra(h8_ext, _all_relations("H8", bindings))
-    doubled10 = DoubledAlgebra(h10_ext, relations10)
-    embed_doubled = doubled10.table.gid_map(doubled8.table, str.capitalize)
+    doubled8_table = data8.doubled.table
+    embed_doubled = data10.doubled.table.gid_map(doubled8_table, str.capitalize)
     cop_ok = eps_ok = anti_ok = True
     for name in h10_ext.table.names:
         g10 = NCPoly.word(h10_ext.table, (h10_ext.table.gen(name),))
         g8 = g10.relabel(h8_ext.table, embed)
-        lhs = data10.coproduct(doubled10, g10).relabel(doubled8.table, embed_doubled)
-        rhs = data8.coproduct(doubled8, g8)
-        if doubled8.system.normal_form(lhs - rhs) != NCPoly.zero(doubled8.table):
+        lhs = data10.coproduct(g10).relabel(doubled8_table, embed_doubled)
+        rhs = data8.coproduct(g8)
+        if data8.doubled_system.normal_form(lhs - rhs) != NCPoly.zero(doubled8_table):
             cop_ok = False
         if data10.counit(g10) != data8.counit(g8):
             eps_ok = False

@@ -15,7 +15,6 @@ from qwh.coaction import (
     constraint_span_check,
     derive_group_constraints,
     pin_free_coefficients,
-    quadratic_vectors,
 )
 from qwh.diffcalc import (
     apply_derivative,
@@ -30,6 +29,7 @@ from qwh.linalg import (
     eigensplit,
     eigenspace_identification,
     involution_check,
+    quadratic_vectors,
     rhat_builtin,
     span_contains,
     ybe_check,

@@ -36,6 +36,14 @@ def test_coact_on_generators_is_matrix_times_vector():
     assert img == NCPoly.parse(mixed.table, "T33*x3")
 
 
+def test_normal_words_put_group_letters_before_space_letters():
+    mixed = MixedAlgebra(GROUP, XSPACE)
+    x1, t12 = NCPoly.parse(XSPACE.table, "x1"), NCPoly.parse(GROUP.table, "T12")
+    nf = mixed.rewrite_system().normal_form(mixed.tensor(x1, t12))
+    assert nf == NCPoly.parse(mixed.table, "T12*x1")
+    assert mixed.split(next(iter(nf.terms))) == ((0,), (1,))
+
+
 words = st.lists(st.integers(0, 2), min_size=0, max_size=2).map(tuple)
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(
     Scalar.from_fraction
@@ -57,8 +65,7 @@ def test_coact_is_an_algebra_homomorphism(p, q):
     left = coact(p * q, GROUP, XSPACE)
     right_p = coact(p, GROUP, XSPACE)
     right_q = coact(q, GROUP, XSPACE)
-    mixed = MixedAlgebra(GROUP, XSPACE)
-    sort_sys = build_rules(mixed.cross_relations(), mixed.order, mixed.table)
+    sort_sys = MixedAlgebra(GROUP, XSPACE).rewrite_system()
     assert sort_sys.normal_form(right_p * right_q - left).is_zero()
 
 

@@ -93,10 +93,19 @@ def test_hopf_axioms():
 
 def test_coproduct_is_multiplicative_on_relations():
     # Delta extends to the quotient: the coproduct of every defining
-    # relation reduces to zero (part of hopf_check, asserted directly here)
+    # relation reduces to zero in the two commuting copies
+    for which in ("H8", "H10"):
+        data = hopf_data(which)
+        for r in data.relations:
+            assert data.doubled_system.normal_form(data.coproduct(r)).is_zero()
+
+
+def test_doubled_normal_words_put_right_copy_first():
     data = hopf_data("H8")
-    rep = hopf_check("H8")
-    assert any("coproduct" in i.label.lower() for i in rep.items)
+    t11, t12 = (NCPoly.parse(data.ext.table, n) for n in ("T11", "T12"))
+    table = data.doubled.table
+    nf = data.doubled_system.normal_form(data.doubled.tensor(t11, t12))
+    assert nf == NCPoly.word(table, (table.gen("T12.r"), table.gen("T11.l")))
 
 
 def test_subalgebra_embedding():

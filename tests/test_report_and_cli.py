@@ -154,6 +154,32 @@ def test_normalize_accepts_dsl_file(tmp_path):
     assert res.output.strip() == "3*b*a"
 
 
+def _assert_one_line_error(res, fragment):
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and fragment in lines[0]
+
+
+def test_normalize_bad_input_exit_two(tmp_path):
+    _assert_one_line_error(
+        run(["normalize", "-a", "xspace", "-e", "x1", "-p", "u=0"]), "vanishes"
+    )
+    f = tmp_path / "unit.alg"
+    f.write_text("algebra unit\ngenerators a > b\nrel 1\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "a"]), "inconsistent presentation"
+    )
+
+
+def test_derivative_bad_point_exit_two():
+    _assert_one_line_error(run(["d", "-i", "1", "-e", "x1", "-p", "u=0"]), "vanishes")
+
+
+def test_derive_bad_point_exit_two():
+    _assert_one_line_error(run(["derive", "-p", "u=0"]), "vanishes")
+
+
 def test_derivative_command():
     res = run(["d", "-i", "3", "-e", "x3*x3"])
     assert res.exit_code == 0
