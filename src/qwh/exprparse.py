@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from . import scalar as sc
+from .freealg import GenTable, NCPoly
 from .scalar import Scalar
 
 
@@ -74,9 +75,10 @@ def _tokenize(text, file="<expr>", line=1, col0=0):
 
 
 class _Parser:
-    """Parses into NCPoly when a generator table is supplied, else Scalar."""
+    """Parses into an NCPoly over `table`; a scalar is a constant over the
+    empty table."""
 
-    def __init__(self, text, table=None, file="<expr>", line=1, col0=0):
+    def __init__(self, text, table, file="<expr>", line=1, col0=0):
         self.text = text
         self.table = table
         self.file = file
@@ -101,21 +103,6 @@ class _Parser:
         if t.kind != "op" or t.text != op:
             raise ParseError(f"expected {op!r}, found {t.text or 'end'!r}", self.span(t))
         return t
-
-    # values are NCPoly if self.table is not None, else Scalar
-    def _one(self):
-        if self.table is not None:
-            from .freealg import NCPoly
-
-            return NCPoly.one(self.table)
-        return sc.ONE
-
-    def _scalar_value(self, x):
-        if self.table is not None:
-            from .freealg import NCPoly
-
-            return NCPoly.constant(self.table, x)
-        return x
 
     def parse(self):
         v = self.expr()
@@ -157,19 +144,12 @@ class _Parser:
                 return v
 
     def _divide(self, v, rhs, tok):
-        if self.table is not None:
-            from .freealg import NCPoly
-
-            assert isinstance(rhs, NCPoly)
-            c = rhs.as_scalar()
-            if c is None:
-                raise ParseError("divisor must be a scalar", self.span(tok))
-            rhs = c
-        if rhs.is_zero():
+        c = rhs.as_scalar()
+        if c is None:
+            raise ParseError("divisor must be a scalar", self.span(tok))
+        if c.is_zero():
             raise ParseError("division by zero", self.span(tok))
-        if self.table is not None:
-            return v * (sc.ONE / rhs)
-        return v / rhs
+        return v * (sc.ONE / c)
 
     def factor(self):
         v = self.atom()
@@ -181,23 +161,19 @@ class _Parser:
         return v
 
     def _power(self, v, e, tok):
-        if self.table is None:
-            if e < 0 and v.is_zero():
-                raise ParseError("zero to a negative power", self.span(tok))
-            return v ** e
-        from .freealg import NCPoly
-
-        if e >= 0:
-            out = NCPoly.one(self.table)
-            for _ in range(e):
-                out = out * v
-            return out
         c = v.as_scalar()
-        if c is None or c.is_zero():
+        if c is not None:
+            if e < 0 and c.is_zero():
+                raise ParseError("zero to a negative power", self.span(tok))
+            return NCPoly.constant(self.table, c ** e)
+        if e < 0:
             raise ParseError(
                 "negative power only allowed on nonzero scalars", self.span(tok)
             )
-        return NCPoly.constant(self.table, c ** e)
+        out = NCPoly.one(self.table)
+        for _ in range(e):
+            out = out * v
+        return out
 
     def exponent(self):
         t = self.next()
@@ -218,7 +194,7 @@ class _Parser:
     def atom(self):
         t = self.next()
         if t.kind == "int":
-            return self._scalar_value(Scalar.from_int(int(t.text)))
+            return NCPoly.constant(self.table, Scalar.from_int(int(t.text)))
         if t.kind == "name":
             return self._name(t)
         if t.kind == "op" and t.text == "(":
@@ -231,21 +207,22 @@ class _Parser:
 
     def _name(self, tok):
         name = tok.text
-        if self.table is not None:
-            gid = self.table.lookup(name)
-            if gid is not None:
-                from .freealg import NCPoly
-
-                return NCPoly.generator(self.table, gid)
+        gid = self.table.lookup(name)
+        if gid is not None:
+            return NCPoly.generator(self.table, gid)
         if name in sc.PARAMS:
-            return self._scalar_value(sc.PARAMS[name])
-        kind = "generator or parameter" if self.table is not None else "parameter"
+            return NCPoly.constant(self.table, sc.PARAMS[name])
+        kind = "generator or parameter" if len(self.table) else "parameter"
         raise ParseError(f"unknown {kind} {name!r}", self.span(tok))
 
 
+#: scalars parse as polynomials over no generators
+_NO_GENERATORS = GenTable([])
+
+
 def parse_scalar_text(text, file="<scalar>", line=1, col0=0) -> Scalar:
-    return _Parser(text, None, file, line, col0).parse()
+    return _Parser(text, _NO_GENERATORS, file, line, col0).parse().as_scalar()
 
 
-def parse_poly_text(text, table, file="<expr>", line=1, col0=0):
+def parse_poly_text(text, table, file="<expr>", line=1, col0=0) -> NCPoly:
     return _Parser(text, table, file, line, col0).parse()

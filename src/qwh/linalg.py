@@ -232,10 +232,6 @@ def involution_check(R: ScalarMatrix, suite: str = "involution") -> CheckReport:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def _term_count(x: Scalar) -> int:
-    return len(x.f.numer.terms()) + len(x.f.denom.terms())
-
-
 def rref(M: ScalarMatrix) -> Tuple[ScalarMatrix, List[int]]:
     """Reduced row echelon form with pivots chosen by least term count."""
     m = [row[:] for row in M.entries]
@@ -248,7 +244,7 @@ def rref(M: ScalarMatrix) -> Tuple[ScalarMatrix, List[int]]:
         candidates = [i for i in range(r, rows) if not m[i][c].is_zero()]
         if not candidates:
             continue
-        best = min(candidates, key=lambda i: _term_count(m[i][c]))
+        best = min(candidates, key=lambda i: m[i][c].term_count())
         m[r], m[best] = m[best], m[r]
         inv = sc.ONE / m[r][c]
         m[r] = [e * inv for e in m[r]]
@@ -285,23 +281,18 @@ def column_space_basis(M: ScalarMatrix) -> List[List[Scalar]]:
     return [cols[c] for c in pivots]
 
 
-def _from_columns(cols: List[List[Scalar]], nrows: int) -> ScalarMatrix:
-    if not cols:
-        return ScalarMatrix.zero(nrows, 0)
-    return ScalarMatrix(
-        [[col[i] for col in cols] for i in range(nrows)]
-    )
+def _column_rank(cols: List[List[Scalar]]) -> int:
+    """Rank of the matrix whose columns are `cols` (0 with no columns)."""
+    return rank(ScalarMatrix(cols).transpose())
 
 
-def span_contains(basis: List[List[Scalar]], vecs: List[List[Scalar]], n: int) -> bool:
+def span_contains(basis: List[List[Scalar]], vecs: List[List[Scalar]]) -> bool:
     """Every vector of `vecs` lies in span(basis)?"""
-    r0 = rank(_from_columns(basis, n))
-    r1 = rank(_from_columns(basis + vecs, n))
-    return r0 == r1
+    return _column_rank(basis) == _column_rank(basis + vecs)
 
 
-def span_equal(a: List[List[Scalar]], b: List[List[Scalar]], n: int) -> bool:
-    return span_contains(a, b, n) and span_contains(b, a, n)
+def span_equal(a: List[List[Scalar]], b: List[List[Scalar]]) -> bool:
+    return span_contains(a, b) and span_contains(b, a)
 
 
 def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]]:
@@ -353,9 +344,9 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
         dims_ok = {len(vp), len(vm)} == {6, 3}
         three = vp if len(vp) == 3 else vm
         six = vp if len(vp) == 6 else vm
-        x_ok = span_equal(x_vecs, three, 9)
-        xi_ok = span_equal(xi_vecs, six, 9)
-        comp_ok = rank(_from_columns(x_vecs + xi_vecs, 9)) == 9
+        x_ok = span_equal(x_vecs, three)
+        xi_ok = span_equal(xi_vecs, six)
+        comp_ok = _column_rank(x_vecs + xi_vecs) == 9
         if dims_ok and x_ok and xi_ok and comp_ok:
             x_sign = "+1" if three is vp else "-1"
             xi_sign = "+1" if six is vp else "-1"
@@ -398,7 +389,7 @@ def generic_q_not_eigenspace(suite: str = "eigen-generic-q", bindings=None) -> C
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):
         vp, vm = eigensplit(M)
         three = vp if len(vp) == 3 else vm
-        ok = not span_equal(vecs, three, 9)
+        ok = not span_equal(vecs, three)
         items.append(
             CheckItem(
                 f"generic-q span differs from the 3-dim eigenspace [{convention}]",

@@ -104,7 +104,8 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0 and self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
-        return Scalar(self.f ** n)
+        # sympy refuses 0**0; as the empty product it is 1
+        return Scalar(self.f ** n) if n else ONE
 
     def __neg__(self):
         return Scalar(-self.f)
@@ -143,6 +144,10 @@ class Scalar:
         den = self.f.denom.terms()[0][1]
         val = num / den
         return Fraction(int(val.numerator), int(val.denominator))
+
+    def term_count(self) -> int:
+        """Terms of the numerator plus terms of the denominator."""
+        return len(self.f.numer.terms()) + len(self.f.denom.terms())
 
     def params_used(self):
         used = set()
@@ -273,9 +278,3 @@ def render_scalar(x: Scalar) -> str:
         ns = f"({ns})"
     return f"{ns}/{ds}"
 
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse the scalar grammar: ints, parameter names, ^, *, +, -, /."""
-    from .exprparse import parse_scalar_text
-
-    return parse_scalar_text(text)

@@ -52,3 +52,52 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+ROOT = SRC.parent.parent
+REFERENCE_DIRS = [SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"]
+
+
+def _definitions(tree):
+    """(name, line) of each undecorated top-level function and class and of
+    each undecorated non-dunder method of a top-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                out.append((node.name, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{node.name}.{m.name}", m.lineno)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.decorator_list
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+    return out
+
+
+def _referenced_names():
+    """Every name read as a `Name`, an `Attribute` or an import alias."""
+    names = set()
+    for d in REFERENCE_DIRS:
+        for path in d.rglob("*.py"):
+            for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.alias):
+                    names.add(n.name.split(".")[-1])
+    return names
+
+
+def test_no_unreferenced_definitions():
+    referenced = _referenced_names()
+    unreferenced = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name.split(".")[-1] not in referenced
+    ]
+    assert unreferenced == []

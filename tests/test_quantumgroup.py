@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from qwh import quantumgroup
 from qwh import scalar as sc
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import GenTable, NCPoly
 from qwh.linalg import ScalarMatrix
 from qwh.presentations import builtin
 from qwh.quantumgroup import (
+    QuantumMatrix,
     adjugate,
     det_commutation_derive,
     determinant,
@@ -89,6 +91,25 @@ def test_determinants_are_not_central():
 def test_hopf_axioms():
     assert hopf_check("H8").ok
     assert hopf_check("H10").ok
+
+
+@pytest.mark.parametrize("which", ["H8", "H10"])
+def test_wrong_adjugate_fails_every_inverse_item_and_only_the_antipode_axiom(
+    which, monkeypatch
+):
+    def corner_doubled(w, bindings=None):
+        A = adjugate(w, bindings)  # the memoised matrix, left unmutated
+        entries = [list(row) for row in A.entries]
+        entries[0][0] = A[1, 1] + A[1, 1]
+        return QuantumMatrix(A.table, entries)
+
+    monkeypatch.setattr(quantumgroup, "adjugate", corner_doubled)
+    assert [i.passed for i in inverse_check(which).items] == [False] * 3
+    hopf = hopf_check(which)
+    assert [i.passed for i in hopf.items] == [True, True, True, False, True]
+    assert hopf.items[3].label.startswith("antipode axiom")
+    monkeypatch.undo()
+    assert inverse_check(which).ok
 
 
 def test_coproduct_is_multiplicative_on_relations():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwh import scalar as sc
-from qwh.exprparse import parse_scalar_text
+from qwh.exprparse import ParseError, parse_poly_text, parse_scalar_text
+from qwh.freealg import GenTable, NCPoly
 from qwh.scalar import Scalar
 
 rationals = st.fractions(
@@ -72,6 +73,38 @@ def test_powers_and_inverse():
 @given(scalars())
 def test_render_parse_round_trip(a):
     assert parse_scalar_text(sc.render_scalar(a)) == a
+
+
+def _parse_poly_xy(text):
+    return parse_poly_text(text, GenTable(["x", "y"]))
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_scalar_text, "0^(-1)", "zero to a negative power"),
+        (_parse_poly_xy, "0^(-1)", "zero to a negative power"),
+        (parse_scalar_text, "(u-u)^(-2)", "zero to a negative power"),
+        (_parse_poly_xy, "(x-x)^(-2)", "zero to a negative power"),
+        (_parse_poly_xy, "x^(-1)", "negative power only allowed on nonzero scalars"),
+        (_parse_poly_xy, "(u*x)^(-2)", "negative power only allowed on nonzero scalars"),
+        (parse_scalar_text, "x", "unknown parameter 'x'"),
+        (_parse_poly_xy, "zz", "unknown generator or parameter 'zz'"),
+        (parse_scalar_text, "1/(s-s)", "division by zero"),
+        (_parse_poly_xy, "x/y", "divisor must be a scalar"),
+    ],
+)
+def test_parser_messages(parse, text, message):
+    with pytest.raises(ParseError, match=message):
+        parse(text)
+
+
+def test_powers_of_constants():
+    assert sc.ZERO ** 0 == sc.ONE
+    assert parse_scalar_text("0^0") == sc.ONE
+    assert _parse_poly_xy("0^0") == NCPoly.one(GenTable(["x", "y"]))
+    assert parse_scalar_text("(2/3)^(-2)") == Scalar.from_fraction(Fraction(9, 4))
+    assert parse_scalar_text("u^3000 * u^(-2999)") == Scalar.param("u")
 
 
 def test_params_used():
