@@ -5,10 +5,20 @@ u, q enter with negative powers throughout (they sit in denominators), s
 only positively; the last six names are the unknown coefficients of the
 one-form ansatz and are carried as ordinary field generators.  Everything
 is exact: no floating point anywhere.
+
+A scalar has one of two representations.  A value in which no parameter
+occurs is a `fractions.Fraction`; at a rational point almost every
+coefficient is one, and Fraction arithmetic skips sympy's polynomial gcd.
+A value in which some parameter occurs is a sympy `FracElement` of
+`FIELD`.  An operation with a `FracElement` operand lifts the other
+operand into `FIELD` and demotes its result to a `Fraction` when neither
+numerator nor denominator carries a parameter, so every value has exactly
+one representation.  Only this module knows either of them.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from sympy.polys.domains import QQ
@@ -18,7 +28,9 @@ PARAM_NAMES = ("u", "s", "q", "k", "c21", "lam", "lam12", "mu", "mu12")
 
 _FIELD_AND_GENS = field(PARAM_NAMES, QQ)
 FIELD = _FIELD_AND_GENS[0]
+_RING = FIELD.ring
 _GENS = dict(zip(PARAM_NAMES, _FIELD_AND_GENS[1:]))
+_CONST = _RING.zero_monom
 
 
 class ScalarError(Exception):
@@ -29,12 +41,62 @@ class SubstitutionError(ScalarError):
     """A binding made a denominator vanish."""
 
 
+def _lift(f):
+    """`f` as an element of FIELD.
+
+    A Fraction is in lowest terms with a positive denominator, which is
+    already FIELD's canonical form, so it is wrapped without a gcd."""
+    if type(f) is Fraction:
+        return FIELD.raw_new(
+            _RING.ground_new(QQ(f.numerator)), _RING.ground_new(QQ(f.denominator))
+        )
+    return f
+
+
+def _to_fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _field_op(op, a, b) -> "Scalar":
+    """`op` on FIELD, the result demoted to a Fraction when it is constant."""
+    f = op(_lift(a), _lift(b))
+    n, d = f.numer, f.denom
+    if n.is_ground and d.is_ground:
+        return Scalar(_to_fraction(n.get(_CONST, 0)) / _to_fraction(d[_CONST]))
+    return Scalar(f)
+
+
+def _sub(a, b) -> "Scalar":
+    if type(b) is Fraction:
+        if type(a) is Fraction:
+            return Scalar(a - b)
+        if not b:
+            return Scalar(a)
+    elif type(a) is Fraction and not a:
+        return Scalar(-b)
+    return _field_op(operator.sub, a, b)
+
+
+def _div(a, b) -> "Scalar":
+    if type(b) is Fraction:
+        if not b:
+            raise ZeroDivisionError("Scalar division by zero")
+        if type(a) is Fraction:
+            return Scalar(a / b)
+    return _field_op(operator.truediv, a, b)
+
+
+def _value(x):
+    return x.f if isinstance(x, Scalar) else Scalar.coerce(x).f
+
+
 class Scalar:
     """Immutable element of the coefficient field, kept in canonical form.
 
-    Wraps a sympy FracElement; gcd cancellation and denominator
-    normalization happen on every operation, so two equal scalars compare
-    equal structurally.
+    `f` is a Fraction when no parameter occurs and a sympy FracElement,
+    reduced by a gcd on every operation, when some parameter does (see the
+    module docstring).  Each value has one representation, so two equal
+    scalars compare equal structurally and hash alike.
     """
 
     __slots__ = ("f",)
@@ -49,12 +111,11 @@ class Scalar:
 
     @staticmethod
     def from_int(n) -> "Scalar":
-        return Scalar(FIELD.one * QQ(n))
+        return Scalar(Fraction(n))
 
     @staticmethod
     def from_fraction(fr) -> "Scalar":
-        fr = Fraction(fr)
-        return Scalar(FIELD.one * QQ(fr.numerator, fr.denominator))
+        return Scalar(Fraction(fr))
 
     @staticmethod
     def param(name: str) -> "Scalar":
@@ -75,37 +136,58 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        return Scalar(self.f + Scalar.coerce(other).f)
+        a, b = self.f, _value(other)
+        if type(a) is Fraction:
+            if type(b) is Fraction:
+                return Scalar(a + b)
+            a, b = b, a  # the sum commutes: the parameter goes on the left
+        if type(b) is Fraction and not b:
+            return Scalar(a)
+        return _field_op(operator.add, a, b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Scalar(self.f - Scalar.coerce(other).f)
+        return _sub(self.f, _value(other))
 
     def __rsub__(self, other):
-        return Scalar(Scalar.coerce(other).f - self.f)
+        return _sub(_value(other), self.f)
 
     def __mul__(self, other):
-        return Scalar(self.f * Scalar.coerce(other).f)
+        a, b = self.f, _value(other)
+        if type(a) is Fraction:
+            if type(b) is Fraction:
+                return Scalar(a * b)
+            a, b = b, a  # the product commutes: the parameter goes on the left
+        if type(b) is Fraction:
+            if not b:
+                return ZERO
+            if b == 1:
+                return Scalar(a)
+        return _field_op(operator.mul, a, b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Scalar.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("Scalar division by zero")
-        return Scalar(self.f / other.f)
+        return _div(self.f, _value(other))
 
     def __rtruediv__(self, other):
-        if self.is_zero():
-            raise ZeroDivisionError("Scalar division by zero")
-        return Scalar(Scalar.coerce(other).f / self.f)
+        return _div(_value(other), self.f)
 
     def __pow__(self, n: int):
         if n < 0 and self.is_zero():
             raise ZeroDivisionError("Scalar division by zero")
-        # sympy refuses 0**0; as the empty product it is 1
-        return Scalar(self.f ** n) if n else ONE
+        if not n:
+            return ONE  # the empty product, 0**0 included
+        f = self.f
+        if type(f) is Fraction or n > 0:
+            return Scalar(f ** n)
+        # sympy inverts by swapping numerator and denominator, which can
+        # leave the sign in the denominator; canonical form keeps it on top
+        num, den = f.denom ** -n, f.numer ** -n
+        if den.LC < 0:
+            num, den = -num, -den
+        return Scalar(FIELD.raw_new(num, den))
 
     def __neg__(self):
         return Scalar(-self.f)
@@ -115,48 +197,53 @@ class Scalar:
             other = Scalar.coerce(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.f == other.f
+        a, b = self.f, other.f
+        return type(a) is type(b) and a == b
 
     def __hash__(self):
         return hash(self.f)
 
     def is_zero(self) -> bool:
-        return self.f.numer == 0
+        f = self.f
+        return type(f) is Fraction and not f
 
     def is_one(self) -> bool:
-        return self.f == FIELD.one
+        f = self.f
+        return type(f) is Fraction and f == 1
 
     # -- queries ----------------------------------------------------------
 
     def is_rational(self) -> bool:
-        """True when no parameter occurs (numerator and denominator constant)."""
-        n, d = self.f.numer, self.f.denom
-        return all(all(e == 0 for e in m) for m, _ in n.terms()) and all(
-            all(e == 0 for e in m) for m, _ in d.terms()
-        )
+        """True when no parameter occurs."""
+        return type(self.f) is Fraction
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"{self} is not a rational constant")
-        if self.f.numer == 0:
-            return Fraction(0)
-        num = self.f.numer.terms()[0][1]
-        den = self.f.denom.terms()[0][1]
-        val = num / den
-        return Fraction(int(val.numerator), int(val.denominator))
+        return self.f
+
+    def _parts(self):
+        """(numerator terms, denominator terms), each a list of
+        (exponent tuple, rational coefficient); a constant is its value
+        over 1."""
+        f = self.f
+        if type(f) is Fraction:
+            return ([(_CONST, f)] if f else []), [(_CONST, 1)]
+        return f.numer.terms(), f.denom.terms()
 
     def term_count(self) -> int:
         """Terms of the numerator plus terms of the denominator."""
-        return len(self.f.numer.terms()) + len(self.f.denom.terms())
+        num, den = self._parts()
+        return len(num) + len(den)
 
     def params_used(self):
-        used = set()
-        for poly in (self.f.numer, self.f.denom):
-            for mono, _ in poly.terms():
-                for name, e in zip(PARAM_NAMES, mono):
-                    if e:
-                        used.add(name)
-        return used
+        num, den = self._parts()
+        return {
+            name
+            for mono, _ in num + den
+            for name, e in zip(PARAM_NAMES, mono)
+            if e
+        }
 
     # -- substitution -----------------------------------------------------
 
@@ -171,11 +258,13 @@ class Scalar:
             if name not in _GENS:
                 raise ScalarError(f"unknown parameter {name!r}")
             vals[name] = Scalar.coerce(v)
+        if self.is_rational():
+            return self
 
-        def eval_poly(poly) -> Scalar:
+        def eval_terms(terms) -> Scalar:
             total = ZERO
-            for mono, coeff in poly.terms():
-                term = Scalar(FIELD.one * coeff)
+            for mono, coeff in terms:
+                term = Scalar(_to_fraction(coeff))
                 for name, e in zip(PARAM_NAMES, mono):
                     if e == 0:
                         continue
@@ -184,8 +273,9 @@ class Scalar:
                 total = total + term
             return total
 
-        num = eval_poly(self.f.numer)
-        den = eval_poly(self.f.denom)
+        num_terms, den_terms = self._parts()
+        num = eval_terms(num_terms)
+        den = eval_terms(den_terms)
         if den.is_zero():
             names = sorted(vals)
             raise SubstitutionError(
@@ -202,8 +292,8 @@ class Scalar:
         return f"Scalar({render_scalar(self)})"
 
 
-ZERO = Scalar(FIELD.zero)
-ONE = Scalar(FIELD.one)
+ZERO = Scalar(Fraction(0))
+ONE = Scalar(Fraction(1))
 PARAMS = {name: Scalar(g) for name, g in _GENS.items()}
 U = PARAMS["u"]
 S = PARAMS["s"]
@@ -215,7 +305,7 @@ Q = PARAMS["q"]
 # ---------------------------------------------------------------------------
 
 def _render_coeff(c) -> str:
-    """Render a QQ coefficient (assumed positive) as int or int/int."""
+    """Render a positive rational coefficient as int or int/int."""
     n, d = int(c.numerator), int(c.denominator)
     return str(n) if d == 1 else f"{n}/{d}"
 
@@ -258,23 +348,17 @@ def _render_terms(terms) -> str:
     return "".join(out)
 
 
-def render_poly(poly) -> str:
-    return _render_terms(poly.terms())
-
-
 def render_scalar(x: Scalar) -> str:
-    num, den = x.f.numer, x.f.denom
-    den_terms = den.terms()
-    if len(den_terms) == 1:
+    num, den = x._parts()
+    if len(den) == 1:
         # monomial denominator: fold into Laurent-style exponents
-        dm, dc = den_terms[0]
+        dm, dc = den[0]
         adjusted = [
-            (tuple(e - f for e, f in zip(m, dm)), c / dc) for m, c in num.terms()
+            (tuple(e - f for e, f in zip(m, dm)), c / dc) for m, c in num
         ]
         return _render_terms(adjusted)
-    ns = render_poly(num)
-    ds = f"({render_poly(den)})"
-    if len(num.terms()) > 1:
+    ns = _render_terms(num)
+    ds = f"({_render_terms(den)})"
+    if len(num) > 1:
         ns = f"({ns})"
     return f"{ns}/{ds}"
-

@@ -101,3 +101,38 @@ def test_no_unreferenced_definitions():
         if name.split(".")[-1] not in referenced
     ]
     assert unreferenced == []
+
+
+def _backend_leaks(path):
+    """sympy imports and reads of an attribute named `f` (the scalar
+    backend's value) in one module."""
+    leaks = []
+    for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(n, ast.Import):
+            modules = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            modules = [n.module or ""]
+        elif isinstance(n, ast.Attribute) and n.attr == "f":
+            leaks.append(f"{path.name}:{n.lineno}: reads .f")
+            continue
+        else:
+            continue
+        leaks += [
+            f"{path.name}:{n.lineno}: imports {m}"
+            for m in modules
+            if m == "sympy" or m.startswith("sympy.")
+        ]
+    return leaks
+
+
+def test_scalar_backend_stays_inside_scalar_py():
+    # the coefficient backend can change behind one module only if no
+    # other module imports sympy or reads a Scalar's value directly
+    leaks = [
+        leak
+        for path in MODULES
+        if path.name != "scalar.py"
+        for leak in _backend_leaks(path)
+    ]
+    assert leaks == []
+    assert _backend_leaks(SRC / "scalar.py")  # the scan does see the backend

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwh import cli
 from qwh.cli import main, suite_names
@@ -172,6 +174,19 @@ def test_normalize_bad_input_exit_two(tmp_path):
     )
 
 
+def test_degenerate_point_messages_are_pinned():
+    # u = 0 makes a coefficient's denominator vanish; the message names it
+    res = run(["normalize", "-a", "xspace", "-e", "x1*x2", "-p", "u=0"])
+    _assert_one_line_error(res, "")
+    assert res.output == "error: denominator of -u^(-1) vanishes under binding {u}\n"
+    res = run(["check", "--suite", "ybe", "-p", "u=0"])
+    assert res.exit_code == 2
+    messages = [ln.strip() for ln in res.output.splitlines() if "Error" in ln]
+    assert messages == [
+        "SubstitutionError: denominator of u^(-2) vanishes under binding {u}"
+    ]
+
+
 def test_derivative_bad_point_exit_two():
     _assert_one_line_error(run(["d", "-i", "1", "-e", "x1", "-p", "u=0"]), "vanishes")
 
@@ -203,3 +218,27 @@ def test_suite_registry_is_stable():
     names = suite_names()
     assert names[-1] == "all"
     assert len(names) == len(set(names))
+
+
+big = st.integers(-(10 ** 30), 10 ** 30)
+cli_rationals = st.one_of(
+    st.sampled_from([0, 1, -1]).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).map(str),
+    st.tuples(big, big.filter(bool)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+cli_bindings = st.one_of(
+    st.tuples(st.sampled_from(["u", "s", "q"]), cli_rationals).map("=".join),
+    st.sampled_from(["u=", "u=1/0", "v=2", "=3", "u", "u=x", "u=1/2/3", "s=--1"]),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(cli_bindings, min_size=1, max_size=3).map(",".join))
+def test_cli_params_never_raise_a_traceback(params):
+    for args in (["normalize", "-a", "xspace", "-e", "x1*x2"],
+                 ["d", "-i", "1", "-e", "x1*x2"]):
+        res = run(args + ["--params", params])
+        assert res.exit_code in (0, 1, 2), (params, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (
+            params, res.exception)
+        assert "Traceback" not in res.output

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 
 from qwh import scalar as sc
 from qwh.exprparse import ParseError, parse_poly_text, parse_scalar_text
@@ -126,3 +127,117 @@ def test_hash_consistent_with_eq():
     a = (u + sc.ONE) * (u - sc.ONE)
     b = u * u - sc.ONE
     assert a == b and hash(a) == hash(b)
+
+
+# -- the Fraction representation against the field ------------------------
+
+TREE_PARAMS = ("u", "s", "q", "lam", "mu")
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def trees(draw, depth=3):
+    """A random expression tree: ("c", Fraction), ("p", name),
+    (op, left, right) for op in + - * /, or ("^", base, exponent)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return ("c", draw(small_rationals))
+        return ("p", draw(st.sampled_from(TREE_PARAMS)))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+    if op == "^":
+        return ("^", draw(trees(depth=depth - 1)), draw(st.integers(-3, 3)))
+    return (op, draw(trees(depth=depth - 1)), draw(trees(depth=depth - 1)))
+
+
+def _evaluate(tree, const, param):
+    """(Scalar, FracElement) of a tree, reading it once in each arithmetic.
+
+    The field side is the reference: every value goes through sympy's
+    cancelling constructors, so it is canonical.  A zero divisor, or zero
+    to a negative power, is skipped on both sides alike."""
+    kind = tree[0]
+    if kind == "c":
+        return Scalar.from_fraction(tree[1]), sc.FIELD.one * const(tree[1])
+    if kind == "p":
+        return Scalar.param(tree[1]), param(tree[1])
+    a, fa = _evaluate(tree[1], const, param)
+    if kind == "^":
+        n = tree[2]
+        if n < 0 and not fa:
+            n = -n
+        ref = fa ** n if n >= 0 else sc.FIELD.one / fa ** -n
+        return a ** n, ref
+    b, fb = _evaluate(tree[2], const, param)
+    if kind == "+":
+        return a + b, fa + fb
+    if kind == "-":
+        return a - b, fa - fb
+    if kind == "*":
+        return a * b, fa * fb
+    if not fb:
+        return a, fa
+    return a / b, fa / fb
+
+
+def _field_value(f, point):
+    """A FracElement at a rational point, or None where its denominator
+    vanishes."""
+
+    def poly_at(poly):
+        total = Fraction(0)
+        for mono, c in poly.terms():
+            term = Fraction(int(c.numerator), int(c.denominator))
+            for name, e in zip(sc.PARAM_NAMES, mono):
+                if e:
+                    term *= point[name] ** e
+            total += term
+        return total
+
+    den = poly_at(f.denom)
+    return None if den == 0 else poly_at(f.numer) / den
+
+
+@settings(max_examples=80, deadline=None)
+@given(trees(), st.fixed_dictionaries({n: small_rationals for n in TREE_PARAMS}))
+def test_scalar_agrees_with_the_field(tree, point):
+    gens = dict(zip(sc.PARAM_NAMES, sc.FIELD.gens))
+    x, ref = _evaluate(tree, lambda c: QQ(c.numerator, c.denominator), gens.get)
+    assert sc._lift(x.f) == ref
+    assert x.is_rational() == (ref.numer.is_ground and ref.denom.is_ground)
+    assert x.is_rational() == (type(x.f) is Fraction)
+    value = _field_value(ref, point)
+    if value is None:
+        with pytest.raises(sc.SubstitutionError):
+            x.substitute(point)
+    else:
+        assert x.substitute(point) == Scalar.from_fraction(value)
+
+
+def test_cancelled_parameter_is_held_as_a_fraction():
+    u = Scalar.param("u")
+    x = (u + sc.ONE) - u
+    assert type(x.f) is Fraction
+    assert x == sc.ONE and hash(x) == hash(sc.ONE)
+    assert {sc.ONE: "one"}[x] == "one"
+    assert type((u * u / u - u).f) is Fraction
+    assert (u * sc.ZERO) is sc.ZERO and (sc.ZERO * u) is sc.ZERO
+
+
+def test_negative_powers_keep_the_sign_in_the_numerator():
+    u = Scalar.param("u")
+    assert (-u) ** -1 == -(u ** -1)
+    assert (sc.ONE - u) ** -2 == sc.ONE / ((u - sc.ONE) * (u - sc.ONE))
+    assert Scalar.from_int(-2) ** -1 == Scalar.from_fraction(Fraction(-1, 2))
+
+
+def test_term_count_of_constants_and_a_quotient():
+    u = Scalar.param("u")
+    assert sc.ZERO.term_count() == 1
+    assert Scalar.from_fraction(Fraction(-3, 4)).term_count() == 2
+    assert (u / (u + sc.ONE)).term_count() == 3
+
+
+def test_substitute_on_a_constant_checks_the_names():
+    with pytest.raises(sc.ScalarError, match="unknown parameter 'v'"):
+        sc.ONE.substitute({"v": 2})
+    assert Scalar.from_int(5).substitute({"u": 0}) == Scalar.from_int(5)
