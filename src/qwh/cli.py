@@ -47,55 +47,8 @@ from .rewrite import RewriteError
 # suite registry
 # ---------------------------------------------------------------------------
 
-def _suite_ybe(bindings, generic_q):
-    return ybe_check(rhat_builtin(bindings))
-
-
-def _suite_involution(bindings, generic_q):
-    return involution_check(rhat_builtin(bindings))
-
-
-def _suite_eigen(bindings, generic_q):
-    if generic_q:
-        return generic_q_not_eigenspace(bindings=bindings)
-    return eigenspace_identification(bindings=bindings)
-
-
-def _suite_constraints(bindings, generic_q):
-    return constraint_span_check(bindings=bindings)
-
-
-def _comodule(space_name, suite, bindings):
-    return comodule_check(
-        builtin(space_name, bindings), builtin("TT7", bindings), suite=suite
-    )
-
-
-def _suite_comodule_x(bindings, generic_q):
-    return _comodule("xspace", "comodule-x", bindings)
-
-
-def _suite_comodule_xi(bindings, generic_q):
-    return _comodule("xispace", "comodule-xi", bindings)
-
-
-def _suite_ansatz(bindings, generic_q):
-    return ansatz_check(bindings=bindings)
-
-
-def _suite_rtt7(bindings, generic_q):
-    return rtt7_span_check(bindings=bindings, generic_q=generic_q)
-
-
-def _suite_rtt9(bindings, generic_q):
-    return rtt9_completion_check(bindings=bindings)
-
-
-def _suite_intertwiner(bindings, generic_q):
-    return intertwiner_check(bindings=bindings)
-
-
-def _suite_det_comm(bindings, generic_q):
+def _det_comm(bindings):
+    """Both determinant-commutation reports, each label tagged with its algebra."""
     items = []
     for which in ("H8", "H10"):
         rep = det_commutation_derive(which, bindings=bindings)
@@ -105,34 +58,35 @@ def _suite_det_comm(bindings, generic_q):
     return CheckReport.from_items("det-comm", items)
 
 
-def _suite_diffcalc(bindings, generic_q):
-    return wz_confluence(generic_q=generic_q, bindings=bindings)
-
-
-def _suite_twisted_leibniz(bindings, generic_q):
-    return twisted_leibniz_check(bindings=bindings)
-
-
 _SUITES: Dict[str, Tuple[Callable, bool]] = {
     # name -> (runner(bindings, generic_q) -> CheckReport, supports --generic-q)
-    "ybe": (_suite_ybe, False),
-    "involution": (_suite_involution, False),
-    "eigen": (_suite_eigen, True),
-    "constraints": (_suite_constraints, False),
-    "comodule-x": (_suite_comodule_x, False),
-    "comodule-xi": (_suite_comodule_xi, False),
-    "ansatz": (_suite_ansatz, False),
-    "rtt-7": (_suite_rtt7, True),
-    "rtt-9": (_suite_rtt9, False),
-    "intertwiner": (_suite_intertwiner, False),
-    "inverse-h8": (lambda b, g: inverse_check("H8", bindings=b), False),
-    "inverse-h10": (lambda b, g: inverse_check("H10", bindings=b), False),
-    "det-comm": (_suite_det_comm, False),
-    "hopf-h8": (lambda b, g: hopf_check("H8", bindings=b), False),
-    "hopf-h10": (lambda b, g: hopf_check("H10", bindings=b), False),
-    "subalgebra": (lambda b, g: subalgebra_check(bindings=b), False),
-    "diffcalc": (_suite_diffcalc, True),
-    "twisted-leibniz": (_suite_twisted_leibniz, False),
+    "ybe": (lambda b, g: ybe_check(rhat_builtin(b)), False),
+    "involution": (lambda b, g: involution_check(rhat_builtin(b)), False),
+    "eigen": (
+        lambda b, g: generic_q_not_eigenspace(b) if g else eigenspace_identification(b),
+        True,
+    ),
+    "constraints": (lambda b, g: constraint_span_check(b), False),
+    "comodule-x": (
+        lambda b, g: comodule_check(builtin("xspace", b), builtin("TT7", b), "comodule-x"),
+        False,
+    ),
+    "comodule-xi": (
+        lambda b, g: comodule_check(builtin("xispace", b), builtin("TT7", b), "comodule-xi"),
+        False,
+    ),
+    "ansatz": (lambda b, g: ansatz_check(b), False),
+    "rtt-7": (lambda b, g: rtt7_span_check(b, generic_q=g), True),
+    "rtt-9": (lambda b, g: rtt9_completion_check(b), False),
+    "intertwiner": (lambda b, g: intertwiner_check(b), False),
+    "inverse-h8": (lambda b, g: inverse_check("H8", b), False),
+    "inverse-h10": (lambda b, g: inverse_check("H10", b), False),
+    "det-comm": (lambda b, g: _det_comm(b), False),
+    "hopf-h8": (lambda b, g: hopf_check("H8", b), False),
+    "hopf-h10": (lambda b, g: hopf_check("H10", b), False),
+    "subalgebra": (lambda b, g: subalgebra_check(b), False),
+    "diffcalc": (lambda b, g: wz_confluence(g, b), True),
+    "twisted-leibniz": (lambda b, g: twisted_leibniz_check(b), False),
 }
 
 

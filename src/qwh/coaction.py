@@ -118,18 +118,14 @@ def comodule_check(
     return CheckReport.from_items(suite, items)
 
 
-def derive_group_constraints(
-    space: Presentation, group: Optional[Presentation] = None
-) -> List[NCPoly]:
+def derive_group_constraints(space: Presentation, group: Presentation) -> List[NCPoly]:
     """Constraints on the (free) quantum-matrix entries forced by invariance
     of the space relations: coact each relation, express it in the basis
     {group word x normal space word}, and return the group coefficients."""
-    if group is None:
-        group = builtin("TT7")
     return [coeff for _, _, coeff in _coacted_coefficients(space, group)]
 
 
-def constraint_span_check(suite: str = "constraints", bindings=None) -> CheckReport:
+def constraint_span_check(bindings=None) -> CheckReport:
     """Derived coordinate-space constraints span exactly the transcribed
     invariance relations (mutual membership, generic q)."""
     group = builtin("TT7", bindings)
@@ -141,7 +137,7 @@ def constraint_span_check(suite: str = "constraints", bindings=None) -> CheckRep
         CheckItem("derived span contains transcribed relations", span_contains(dv, tv)),
         CheckItem("transcribed span contains derived relations", span_contains(tv, dv)),
     ]
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("constraints", items)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +281,7 @@ def ansatz_solve(
     )
 
 
-def pin_free_coefficients(
-    suite: str = "ansatz-pin", bindings=None
-) -> Tuple[Dict[str, Scalar], CheckReport]:
+def pin_free_coefficients(bindings=None) -> Tuple[Dict[str, Scalar], CheckReport]:
     """Re-derive the one-form structure constants independently: substitute
     the forced zeros into the ansatz, pin the rest from the comodule
     residual equations, and confirm the pinned system is confluent and
@@ -332,10 +326,10 @@ def pin_free_coefficients(
         items.append(CheckItem("pinned one-form system is confluent", joint.ok))
         mixed_rep = comodule_check(pinned, group)
         items.append(CheckItem("pinned ansatz is a comodule", mixed_rep.ok))
-    return pins, CheckReport.from_items(suite, items)
+    return pins, CheckReport.from_items("ansatz-pin", items)
 
 
-def ansatz_check(suite: str = "ansatz", bindings=None) -> CheckReport:
+def ansatz_check(bindings=None) -> CheckReport:
     """Suite wrapper for the degree-filtered ansatz analysis: the general
     one-form ansatz forces its three obstruction coefficients to zero, the
     variant keeping the square of the third one-form independent is
@@ -369,4 +363,4 @@ def ansatz_check(suite: str = "ansatz", bindings=None) -> CheckReport:
     )
     _, pin_report = pin_free_coefficients(bindings=bindings)
     items.extend(pin_report.items)
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("ansatz", items)

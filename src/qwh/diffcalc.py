@@ -10,10 +10,11 @@ in the variables performs differentiation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import random
+from typing import List
 
 from .freealg import GenTable, MonomialOrder, NCPoly
-from .linalg import ScalarMatrix, pair_to_lin, rhat_builtin
+from .linalg import involution_check, pair_to_lin, rhat_builtin
 from .memo import memoised
 from .presentations import Presentation, builtin
 from .report import CheckItem, CheckReport
@@ -36,27 +37,18 @@ WZ_DEGREES = {
 }
 
 
-def _involution_guard(R: ScalarMatrix):
-    if not (R * R - ScalarMatrix.identity(9)).is_zero():
-        raise DiffCalcError(
-            "the deformation matrix must be involutive (its inverse is itself)"
-        )
-
-
-def wz_relations(
-    R: Optional[ScalarMatrix] = None, generic_q: bool = False, bindings=None
-) -> Presentation:
+def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
     """The full three-block presentation: variable relations, one-form
     relations, and the 27 cross-relations
         x^k xi^l = R^{kl}_{mn} xi^m x^n
         d_k xi^l = R^{lm}_{kn} xi^n d_m      (the matrix is its own inverse)
         d_l x^k  = delta^k_l + R^{km}_{ln} x^n d_m
     oriented so one-forms sort left, derivatives right."""
-    if R is None:
-        R = rhat_builtin(bindings)
-    elif bindings:
-        R = R.substitute(bindings)
-    _involution_guard(R)
+    R = rhat_builtin(bindings)
+    if not involution_check(R).ok:
+        raise DiffCalcError(
+            "the deformation matrix must be involutive (its inverse is itself)"
+        )
     table = GenTable(_D_GENS + _X_GENS + _XI_GENS)
     order = MonomialOrder.default(table)
 
@@ -122,14 +114,12 @@ def wz_system(generic_q: bool = False, bindings=None) -> RewriteSystem:
     return memoised(("wz", generic_q), bindings, make)
 
 
-def wz_confluence(
-    generic_q: bool = False, suite: str = "diffcalc", bindings=None
-) -> CheckReport:
+def wz_confluence(generic_q: bool = False, bindings=None) -> CheckReport:
     """Diamond check of the combined three-block system.  No rule has a
     derivative letter in second position, so no derivative/derivative
     ambiguity ever forms; the check covers every overlap that exists."""
     system = wz_system(generic_q=generic_q, bindings=bindings)
-    return diamond_check(system, suite=suite)
+    return diamond_check(system, suite="diffcalc")
 
 
 def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
@@ -152,15 +142,11 @@ def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
     return image.relabel(p.table, table.gid_map(p.table))
 
 
-def twisted_leibniz_check(
-    suite: str = "twisted-leibniz", seed: int = 0, samples: int = 20, bindings=None
-) -> CheckReport:
+def twisted_leibniz_check(bindings=None) -> CheckReport:
     """The derivative action is well-defined on the quotient: acting on a
     product before or after normal-ordering it gives the same result, and
-    every variable relation is annihilated."""
-    import random
-
-    rng = random.Random(seed)
+    every variable relation is annihilated; 20 random words, seed 0."""
+    rng = random.Random(0)
     xspace = builtin("xspace", bindings)
     xsys = build_rules(xspace.relations, xspace.order, xspace.table)
     items = []
@@ -175,7 +161,7 @@ def twisted_leibniz_check(
                     residual=None if ok else out.render(xspace.order),
                 )
             )
-    for _ in range(samples):
+    for _ in range(20):
         wlen = rng.randint(0, 3)
         word = tuple(rng.randrange(3) for _ in range(wlen))
         i = rng.randint(1, 3)
@@ -190,7 +176,7 @@ def twisted_leibniz_check(
                 ok,
             )
         )
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("twisted-leibniz", items)
 
 
 def classical_derivative(i: int, p: NCPoly) -> NCPoly:

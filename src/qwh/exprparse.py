@@ -220,8 +220,8 @@ class _Parser:
 _NO_GENERATORS = GenTable([])
 
 
-def parse_scalar_text(text, file="<scalar>", line=1, col0=0) -> Scalar:
-    return _Parser(text, _NO_GENERATORS, file, line, col0).parse().as_scalar()
+def parse_scalar_text(text) -> Scalar:
+    return _Parser(text, _NO_GENERATORS, "<scalar>").parse().as_scalar()
 
 
 def parse_poly_text(text, table, file="<expr>", line=1, col0=0) -> NCPoly:

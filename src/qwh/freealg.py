@@ -99,7 +99,8 @@ class MonomialOrder:
 
 
 class NCPoly:
-    """Finite Scalar-linear combination of words over a fixed table."""
+    """Finite Scalar-linear combination of words over a fixed table.  The
+    constructor drops zero coefficients; it is the one place that does."""
 
     __slots__ = ("table", "terms")
 
@@ -158,22 +159,14 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            nc = out.get(w, sc.ZERO) + c
-            if nc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = nc
+            out[w] = out.get(w, sc.ZERO) + c
         return NCPoly(self.table, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            nc = out.get(w, sc.ZERO) - c
-            if nc.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = nc
+            out[w] = out.get(w, sc.ZERO) - c
         return NCPoly(self.table, out)
 
     def __neg__(self):
@@ -187,11 +180,7 @@ class NCPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                nc = out.get(w, sc.ZERO) + c1 * c2
-                if nc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = nc
+                out[w] = out.get(w, sc.ZERO) + c1 * c2
         return NCPoly(self.table, out)
 
     def __rmul__(self, other):

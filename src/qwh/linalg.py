@@ -182,7 +182,7 @@ def _triple_ops(R: ScalarMatrix) -> Tuple[ScalarMatrix, ScalarMatrix]:
     return R1, R2
 
 
-def ybe_check(R: ScalarMatrix, suite: str = "ybe") -> CheckReport:
+def ybe_check(R: ScalarMatrix) -> CheckReport:
     """Braid-form Yang-Baxter check: (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R)."""
     R1, R2 = _triple_ops(R)
     lhs = R1 * R2 * R1
@@ -204,10 +204,10 @@ def ybe_check(R: ScalarMatrix, suite: str = "ybe") -> CheckReport:
                     f"residual entry ({i},{j})", False, str(diff.entries[i][j])
                 )
             )
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("ybe", items)
 
 
-def involution_check(R: ScalarMatrix, suite: str = "involution") -> CheckReport:
+def involution_check(R: ScalarMatrix) -> CheckReport:
     if R.rows != R.cols:
         raise LinalgError("involution check needs a square matrix")
     diff = R * R - ScalarMatrix.identity(R.rows)
@@ -225,7 +225,7 @@ def involution_check(R: ScalarMatrix, suite: str = "involution") -> CheckReport:
                             str(diff.entries[i][j]),
                         )
                     )
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("involution", items)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def eigensplit(R: ScalarMatrix):
     return column_space_basis(p_plus), column_space_basis(p_minus)
 
 
-def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckReport:
+def eigenspace_identification(bindings=None) -> CheckReport:
     """Identify the two eigenspaces of the built-in matrix with the spans of
     the coordinate-space and one-form-space relations.
 
@@ -364,7 +364,7 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
                 ),
                 CheckItem("spans are complementary (joint rank 9)", True),
             ]
-            return CheckReport.from_items(suite, items)
+            return CheckReport.from_items("eigen", items)
 
     # neither convention works: report the as-printed failure in detail
     vp, vm = eigensplit(R)
@@ -376,10 +376,10 @@ def eigenspace_identification(suite: str = "eigen", bindings=None) -> CheckRepor
         CheckItem("coordinate relations span equals an eigenspace", False),
         CheckItem("one-form relations span equals an eigenspace", False),
     ]
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("eigen", items)
 
 
-def generic_q_not_eigenspace(suite: str = "eigen-generic-q", bindings=None) -> CheckReport:
+def generic_q_not_eigenspace(bindings=None) -> CheckReport:
     """With q kept independent the coordinate relations stop being an
     eigenspace of the built-in matrix (either convention)."""
     R = rhat_builtin(bindings)
@@ -396,4 +396,4 @@ def generic_q_not_eigenspace(suite: str = "eigen-generic-q", bindings=None) -> C
                 ok,
             )
         )
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("eigen-generic-q", items)

@@ -415,6 +415,9 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
             gens = [g.strip() for g in rest.split(">")]
             if any(not g for g in gens):
                 raise ParseError("malformed generator precedence list", span)
+            dup = next((g for i, g in enumerate(gens) if g in gens[:i]), None)
+            if dup is not None:
+                raise ParseError(f"duplicate generator {dup!r}", span)
         elif head == "degree":
             gen_name, _, val = rest.partition("=")
             gen_name, val = gen_name.strip(), val.strip()

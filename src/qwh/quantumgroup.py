@@ -204,9 +204,7 @@ def group_system(which: str, bindings=None) -> RewriteSystem:
     return memoised(("system", which), bindings, make)
 
 
-def rtt7_span_check(
-    suite: str = "rtt-7", bindings=None, generic_q: bool = False
-) -> CheckReport:
+def rtt7_span_check(bindings=None, generic_q: bool = False) -> CheckReport:
     """The 7-generator RTT relations span exactly the transcribed relation
     list of the 7-generator quantum group.  With generic_q, the comparison
     target is the invariance-constraint span with q kept independent, which
@@ -228,15 +226,15 @@ def rtt7_span_check(
         )
     tv = quadratic_vectors(target, tt7.table)
     items = [CheckItem(label, span_equal(dv, tv))]
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("rtt-7", items)
 
 
-def rtt9_completion_check(suite: str = "rtt-9", bindings=None) -> CheckReport:
+def rtt9_completion_check(bindings=None) -> CheckReport:
     pres = group_presentation("H10", bindings)
     try:
         system = group_system("H10", bindings)
     except QuantumGroupError as e:
-        return CheckReport.error(suite, str(e))
+        return CheckReport.error("rtt-9", str(e))
     items = [
         CheckItem(
             f"{len(pres.relations)} independent relations complete to a"
@@ -246,10 +244,10 @@ def rtt9_completion_check(suite: str = "rtt-9", bindings=None) -> CheckReport:
     ]
     diamond = diamond_check(system, suite="rtt9-diamond")
     items.append(CheckItem("completed system passes the diamond check", diamond.ok))
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("rtt-9", items)
 
 
-def intertwiner_check(suite: str = "intertwiner", bindings=None) -> CheckReport:
+def intertwiner_check(bindings=None) -> CheckReport:
     """All 81 instances of the defining identity hold in the quotient."""
     R = rhat_builtin(bindings)
     group = builtin("TT7", bindings)
@@ -267,7 +265,7 @@ def intertwiner_check(suite: str = "intertwiner", bindings=None) -> CheckReport:
         )
         for j, i in product((1, 2, 3), repeat=2)
     ]
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("intertwiner", items)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +351,11 @@ def extended_system(which: str, bindings=None) -> RewriteSystem:
     return memoised(("extended", which), bindings, make)
 
 
-def inverse_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckReport:
+def inverse_check(which: str, bindings=None) -> CheckReport:
     """Adjugate identity first (matrix times adjugate equals determinant
     times identity, both sides, entrywise in the matrix quotient), then the
     determinant-inverse commutation relations certify a genuine two-sided
     inverse without ever rewriting the inversion pair itself."""
-    suite = suite or f"inverse-{which.lower()}"
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
     A = adjugate(which, bindings)
@@ -385,7 +382,7 @@ def inverse_check(which: str, suite: Optional[str] = None, bindings=None) -> Che
             left_ok,
         ),
     ]
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items(f"inverse-{which.lower()}", items)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +402,11 @@ def _proportionality(p: NCPoly, q: NCPoly) -> Optional[Scalar]:
     return c if (q.scale(c) - p).is_zero() else None
 
 
-def det_commutation_derive(
-    which: str, suite: Optional[str] = None, bindings=None
-) -> CheckReport:
+def det_commutation_derive(which: str, bindings=None) -> CheckReport:
     """Derive, for every generator g, the factor in g*det = c*det*g from
     the matrix relations alone, and match the induced det-inverse relation
     g*dinv = c^{-1}*dinv*g against the loaded commutation table; also
     confirms the determinant is not central."""
-    suite = suite or f"det-comm-{which.lower()}"
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
     ext = builtin(_EXT[which], bindings)
@@ -442,7 +436,7 @@ def det_commutation_derive(
             )
         )
     items.append(CheckItem("determinant is not central", noncentral))
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items(f"det-comm-{which.lower()}", items)
 
 
 def _dinv_table_factors(ext: Presentation) -> Dict[str, Scalar]:
@@ -593,12 +587,11 @@ def _all_vanish(label: str, system: RewriteSystem, polys) -> CheckItem:
     return CheckItem(label, True)
 
 
-def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckReport:
+def hopf_check(which: str, bindings=None) -> CheckReport:
     """The three Hopf-algebra axioms on the extended algebra: the coproduct
     preserves every relation, the counit annihilates every relation and
     splits the coproduct, and the antipode composes to the counit through
     the adjugate identity."""
-    suite = suite or f"hopf-{which.lower()}"
     data = hopf_data(which, bindings)
     ext, relations = data.ext, data.relations
     items = [
@@ -635,14 +628,14 @@ def hopf_check(which: str, suite: Optional[str] = None, bindings=None) -> CheckR
             True,
         )
     )
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items(f"hopf-{which.lower()}", items)
 
 
 # ---------------------------------------------------------------------------
 # the embedding H8 -> H10
 # ---------------------------------------------------------------------------
 
-def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
+def subalgebra_check(bindings=None) -> CheckReport:
     """The specialization map sends every relation of the 9-generator
     algebra into the ideal of the 7-generator one and commutes with the
     Hopf structure maps on generators."""
@@ -686,4 +679,4 @@ def subalgebra_check(suite: str = "subalgebra", bindings=None) -> CheckReport:
     items.append(CheckItem("map commutes with the coproduct on generators", cop_ok))
     items.append(CheckItem("map commutes with the counit on generators", eps_ok))
     items.append(CheckItem("map commutes with the antipode on generators", anti_ok))
-    return CheckReport.from_items(suite, items)
+    return CheckReport.from_items("subalgebra", items)

@@ -56,8 +56,8 @@ class CheckReport:
         return CheckReport(suite, status, items, dict(params or {}))
 
     @staticmethod
-    def error(suite: str, message: str, params=None) -> "CheckReport":
-        return CheckReport(suite, ERROR, [], dict(params or {}), message=message)
+    def error(suite: str, message: str) -> "CheckReport":
+        return CheckReport(suite, ERROR, [], message=message)
 
     @property
     def ok(self) -> bool:

@@ -82,15 +82,9 @@ class RewriteSystem:
         work: List[Tuple[Word, sc.Scalar]] = list(p.terms.items())
         while work:
             w, c = work.pop()
-            if c.is_zero():
-                continue
             m = self._find(w, rightmost)
             if m is None:
-                nc = out.get(w, sc.ZERO) + c
-                if nc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = nc
+                out[w] = out.get(w, sc.ZERO) + c
             else:
                 pos, i = m
                 rule = self.rules[i]

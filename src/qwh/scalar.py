@@ -310,14 +310,14 @@ def _render_coeff(c) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _render_monomial(mono, coeff, variables=PARAM_NAMES) -> str:
+def _render_monomial(mono, coeff) -> str:
     factors = []
     c = coeff
     neg = c < 0
     if neg:
         c = -c
     body = []
-    for name, e in zip(variables, mono):
+    for name, e in zip(PARAM_NAMES, mono):
         if e == 0:
             continue
         if e == 1:

@@ -77,18 +77,23 @@ def _definitions(tree):
     return out
 
 
+def _reference_nodes():
+    """Every AST node of every file in `REFERENCE_DIRS`."""
+    for d in REFERENCE_DIRS:
+        for path in d.rglob("*.py"):
+            yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def _referenced_names():
     """Every name read as a `Name`, an `Attribute` or an import alias."""
     names = set()
-    for d in REFERENCE_DIRS:
-        for path in d.rglob("*.py"):
-            for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(n, ast.Name):
-                    names.add(n.id)
-                elif isinstance(n, ast.Attribute):
-                    names.add(n.attr)
-                elif isinstance(n, ast.alias):
-                    names.add(n.name.split(".")[-1])
+    for n in _reference_nodes():
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
     return names
 
 
@@ -101,6 +106,78 @@ def test_no_unreferenced_definitions():
         if name.split(".")[-1] not in referenced
     ]
     assert unreferenced == []
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None, line) of each
+    defaulted parameter of a top-level function or of a method of a
+    top-level class.  A method's index skips `self`/`cls` unless it is a
+    staticmethod; a class's `__init__` is called by the class name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs = [
+                (node.name if m.name == "__init__" else m.name, m)
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = [(node.name, node)]
+        else:
+            continue
+        for callee, fn in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            bound = node is not fn and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+            )
+            skip = 1 if bound else 0
+            first = len(positional) - len(a.defaults)
+            out += [
+                (callee, p.arg, i - skip, p.lineno)
+                for i, p in enumerate(positional)
+                if i >= first
+            ]
+            out += [
+                (callee, p.arg, None, p.lineno)
+                for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None
+            ]
+    return out
+
+
+def _set_parameters():
+    """(callee last name, keyword or positional index) set at some call; a
+    call with `*` or `**` sets everything (index "*")."""
+    seen = set()
+    for n in _reference_nodes():
+        if not isinstance(n, ast.Call):
+            continue
+        f = n.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in n.args) or any(
+            k.arg is None for k in n.keywords
+        ):
+            seen.add((name, "*"))
+        seen.update((name, i) for i in range(len(n.args)))
+        seen.update((name, k.arg) for k in n.keywords)
+    return seen
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no call overrides is a constant dressed as a parameter
+    seen = _set_parameters()
+    unset = [
+        f"{path.name}:{line}: {callee}({param})"
+        for path in sorted(SRC.glob("*.py"))
+        for callee, param, index, line in _defaulted_parameters(
+            ast.parse(path.read_text(), filename=str(path))
+        )
+        if not {(callee, "*"), (callee, param), (callee, index)} & seen
+    ]
+    assert unset == []
 
 
 def _backend_leaks(path):

@@ -101,6 +101,7 @@ def test_dsl_round_trip():
         "algebra t\ngenerators a > b\nrel a*zz",    # unknown generator
         "algebra t\nparams nope\ngenerators a",     # unknown parameter
         "algebra t\ngenerators a\nfrobnicate x",    # unknown directive
+        "algebra t\ngenerators a > a",             # duplicate generator
     ],
 )
 def test_dsl_errors_carry_spans(bad):

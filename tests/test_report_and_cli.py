@@ -172,6 +172,11 @@ def test_normalize_bad_input_exit_two(tmp_path):
     _assert_one_line_error(
         run(["normalize", "-a", str(f), "-e", "a"]), "inconsistent presentation"
     )
+    f = tmp_path / "dup.alg"
+    f.write_text("algebra dup\ngenerators a > a\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "a"]), "dup.alg:2:1: duplicate generator 'a'"
+    )
 
 
 def test_degenerate_point_messages_are_pinned():

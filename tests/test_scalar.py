@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 
@@ -154,7 +154,8 @@ def _evaluate(tree, const, param):
 
     The field side is the reference: every value goes through sympy's
     cancelling constructors, so it is canonical.  A zero divisor, or zero
-    to a negative power, is skipped on both sides alike."""
+    to a negative power, is skipped on both sides alike.  A power 0 is the
+    empty product on the field side, where sympy refuses 0**0."""
     kind = tree[0]
     if kind == "c":
         return Scalar.from_fraction(tree[1]), sc.FIELD.one * const(tree[1])
@@ -165,7 +166,10 @@ def _evaluate(tree, const, param):
         n = tree[2]
         if n < 0 and not fa:
             n = -n
-        ref = fa ** n if n >= 0 else sc.FIELD.one / fa ** -n
+        if n == 0:
+            ref = sc.FIELD.one
+        else:
+            ref = fa ** n if n > 0 else sc.FIELD.one / fa ** -n
         return a ** n, ref
     b, fb = _evaluate(tree[2], const, param)
     if kind == "+":
@@ -199,6 +203,7 @@ def _field_value(f, point):
 
 @settings(max_examples=80, deadline=None)
 @given(trees(), st.fixed_dictionaries({n: small_rationals for n in TREE_PARAMS}))
+@example(("^", ("-", ("p", "u"), ("p", "u")), 0), {n: Fraction(0) for n in TREE_PARAMS})
 def test_scalar_agrees_with_the_field(tree, point):
     gens = dict(zip(sc.PARAM_NAMES, sc.FIELD.gens))
     x, ref = _evaluate(tree, lambda c: QQ(c.numerator, c.denominator), gens.get)
