@@ -90,19 +90,25 @@ _SUITES: Dict[str, Tuple[Callable, bool]] = {
 }
 
 
+#: the name a suite's report carries under --generic-q, where it is not the key
+_GENERIC_Q_NAMES = {"eigen": "eigen-generic-q"}
+
+
 def suite_names():
     return list(_SUITES) + ["all"]
 
 
 def run_suite(name: str, bindings, generic_q: bool) -> CheckReport:
     """The report of one registered suite, labelled with its parameters.  A
-    suite that raises reports ERROR with the exception's message."""
+    suite that raises reports ERROR with the exception's message, under the
+    name its report carries when it runs."""
     runner, supports_gq = _SUITES[name]
     gq = generic_q and supports_gq
     try:
         rep = runner(bindings or None, gq)
     except Exception as exc:  # surface as ERROR, exit 2
-        rep = CheckReport.error(name, f"{type(exc).__name__}: {exc}")
+        report_name = _GENERIC_Q_NAMES.get(name, name) if gq else name
+        rep = CheckReport.error(report_name, f"{type(exc).__name__}: {exc}")
     rep.params = {k: str(v) for k, v in (bindings or {}).items()}
     if gq:
         rep.params["q"] = "generic"

@@ -14,6 +14,12 @@ A value in which some parameter occurs is a sympy `FracElement` of
 operand into `FIELD` and demotes its result to a `Fraction` when neither
 numerator nor denominator carries a parameter, so every value has exactly
 one representation.  Only this module knows either of them.
+
+Almost every coefficient met in rewriting is a Laurent monomial
+c*u^a*s^b*..., and a product or quotient of two monomials never reaches
+the gcd: it multiplies or divides the coefficients, adds or subtracts the
+exponents and builds the canonical FracElement directly.  Sums, and
+products with a non-monomial operand, take the field path.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ FIELD = _FIELD_AND_GENS[0]
 _RING = FIELD.ring
 _GENS = dict(zip(PARAM_NAMES, _FIELD_AND_GENS[1:]))
 _CONST = _RING.zero_monom
+_QQ = QQ.dtype
 
 
 class ScalarError(Exception):
@@ -57,8 +64,48 @@ def _to_fraction(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
+def _monomial(f):
+    """(numerator, denominator, exponents) of a Laurent monomial
+    n/d*u^a*s^b*..., or None.  A Fraction is a monomial with every exponent
+    zero.  In FIELD's canonical form the two coefficients of a monomial are
+    already n and d: coprime integers, d positive."""
+    if type(f) is Fraction:
+        return f.numerator, f.denominator, _CONST
+    n, d = f.numer, f.denom
+    if len(n) != 1 or len(d) != 1:
+        return None
+    ((mn, cn),) = n.items()
+    ((md, cd),) = d.items()
+    return int(cn.numerator), int(cd.numerator), tuple(map(operator.sub, mn, md))
+
+
+def _from_monomial(c: Fraction, exps) -> "Scalar":
+    """The scalar c*u^a*s^b*... in canonical form, built without a gcd:
+    the numerator of c and the positive exponents on top, the denominator
+    of c and the negated negative exponents below."""
+    if not c or not any(exps):
+        return Scalar(c)
+    up = tuple(e if e > 0 else 0 for e in exps)
+    down = tuple(-e if e < 0 else 0 for e in exps)
+    return Scalar(FIELD.raw_new(
+        _RING.dtype({up: _QQ(c.numerator)}), _RING.dtype({down: _QQ(c.denominator)})
+    ))
+
+
 def _field_op(op, a, b) -> "Scalar":
-    """`op` on FIELD, the result demoted to a Fraction when it is constant."""
+    """`op` on FIELD, the result demoted to a Fraction when it is constant.
+
+    A product or quotient of two monomials is computed on their
+    coefficients and exponents and never reaches the gcd."""
+    if op is operator.mul or op is operator.truediv:
+        ma, mb = _monomial(a), _monomial(b)
+        if ma is not None and mb is not None:
+            (na, da, ea), (nb, db, eb) = ma, mb
+            if op is operator.mul:
+                c, exp_op = Fraction(na * nb, da * db), operator.add
+            else:
+                c, exp_op = Fraction(na * db, da * nb), operator.sub
+            return _from_monomial(c, tuple(map(exp_op, ea, eb)))
     f = op(_lift(a), _lift(b))
     n, d = f.numer, f.denom
     if n.is_ground and d.is_ground:
@@ -93,10 +140,10 @@ def _value(x):
 class Scalar:
     """Immutable element of the coefficient field, kept in canonical form.
 
-    `f` is a Fraction when no parameter occurs and a sympy FracElement,
-    reduced by a gcd on every operation, when some parameter does (see the
-    module docstring).  Each value has one representation, so two equal
-    scalars compare equal structurally and hash alike.
+    `f` is a Fraction when no parameter occurs and a sympy FracElement in
+    lowest terms when some parameter does (see the module docstring).  Each
+    value has one representation, so two equal scalars compare equal
+    structurally and hash alike.
     """
 
     __slots__ = ("f",)

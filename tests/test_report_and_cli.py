@@ -107,6 +107,17 @@ def test_run_suite_reports_a_raising_suite_as_error(monkeypatch):
     assert rep.params == {"u": "0"}
 
 
+@pytest.mark.parametrize("suite", ["eigen", "rtt-7", "diffcalc"])
+def test_generic_q_error_keeps_the_suite_name(suite):
+    """A suite names its ERROR report as it names its PASS or FAIL one."""
+    ran = run(["check", "--suite", suite, "--generic-q", "-p", "u=2"])
+    raised = run(["check", "--suite", suite, "--generic-q", "-p", "u=0"])
+    name = ran.output.splitlines()[0].rsplit(":", 1)[0]
+    assert name.startswith(f"suite {suite}")
+    assert raised.exit_code == 2
+    assert raised.output.splitlines()[0] == f"{name}: ERROR"
+
+
 def test_json_output_validates_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):

@@ -1,5 +1,7 @@
 """Rewriting: normal forms, confluence via the diamond lemma, completion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from qwh import scalar as sc
 from qwh.freealg import GenTable, MonomialOrder, NCPoly
 from qwh.presentations import builtin
+from qwh.quantumgroup import group_system
 from qwh.rewrite import (
     CompletionFailure,
     RewriteSystem,
@@ -139,3 +142,44 @@ def test_overlap_enumeration_matches_rule_pairs():
         lb = XSYS.rules[ov.rule_b].lhs
         assert ov.word[ov.pos_a:ov.pos_a + len(la)] == la
         assert ov.word[ov.pos_b:ov.pos_b + len(lb)] == lb
+
+
+# -- flatness: normal words per degree match the classical counts ---------
+
+def _normal_word_counts(system, top):
+    """Normal words of each length 0..top.  A prefix of a normal word is
+    normal, so each length extends the normal words of the one below."""
+    layer, counts = [()], [1]
+    for _ in range(top):
+        layer = [
+            w + (g,) for w in layer for g in range(len(system.table))
+            if system.is_normal_word(w + (g,))
+        ]
+        counts.append(len(layer))
+    return counts
+
+
+CLASSICAL = {"u": Fraction(1), "s": Fraction(0)}
+
+
+@pytest.mark.parametrize("bindings", [None, CLASSICAL], ids=["symbolic", "u1_s0"])
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("xspace", [1, 3, 6, 10, 15, 21]),
+        ("xispace", [1, 3, 3, 1, 0]),
+        ("H8", [1, 7, 28, 84, 210]),
+        ("H10", [1, 9, 45, 165, 495]),
+    ],
+    ids=["xspace", "xispace", "H8", "H10"],
+)
+def test_normal_word_counts_are_flat(name, counts, bindings):
+    """By the diamond lemma the normal words of a confluent system are a
+    basis, so a flat deformation has the classical count in each degree:
+    polynomials in 3, 7 and 9 commuting letters, and the exterior algebra
+    on 3."""
+    if name.startswith("H"):
+        system = group_system(name, bindings)
+    else:
+        system = builtin(name, bindings).rewrite_system()
+    assert _normal_word_counts(system, len(counts) - 1) == counts

@@ -246,3 +246,55 @@ def test_substitute_on_a_constant_checks_the_names():
     with pytest.raises(sc.ScalarError, match="unknown parameter 'v'"):
         sc.ONE.substitute({"v": 2})
     assert Scalar.from_int(5).substitute({"u": 0}) == Scalar.from_int(5)
+
+
+# -- products and quotients of monomials ----------------------------------
+
+nonzero_rationals = st.fractions(
+    min_value=-20, max_value=20, max_denominator=12
+).filter(bool)
+
+
+@st.composite
+def monomials(draw):
+    """(Scalar, FracElement) of c * prod p^e over all nine parameters, with
+    c a nonzero rational and each e in -3..3; all e zero gives a constant."""
+    c = draw(nonzero_rationals)
+    exps = draw(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    x, ref = Scalar.from_fraction(c), sc.FIELD.one * QQ(c.numerator, c.denominator)
+    for name, gen, e in zip(sc.PARAM_NAMES, sc.FIELD.gens, exps):
+        x = x * Scalar.param(name) ** e
+        ref = ref * gen ** e
+    return x, ref
+
+
+def _as_scalar(f):
+    """A canonical FracElement as the Scalar holding it: a Fraction when it
+    is constant."""
+    if f.numer.is_ground and f.denom.is_ground:
+        return Scalar(sc._to_fraction(f.numer.LC) / sc._to_fraction(f.denom.LC))
+    return Scalar(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(), monomials())
+@example((Scalar.param("u"), sc.FIELD.gens[0]),
+         (Scalar.param("u") ** -1, 1 / sc.FIELD.gens[0]))
+def test_monomial_products_and_quotients_agree_with_the_field(a, b):
+    (x, fx), (y, fy) = a, b
+    for got, ref in ((x, fx), (y, fy), (x * y, fx * fy), (x / y, fx / fy)):
+        want = _as_scalar(ref)
+        assert sc._lift(got.f) == ref
+        assert got == want
+        assert type(got.f) is type(want.f)
+        assert hash(got) == hash(want)
+        assert {want: "found"}[got] == "found"
+
+
+def test_monomials_whose_exponents_cancel_are_fractions():
+    u = Scalar.param("u")
+    one = u * u ** -1
+    assert type(one.f) is Fraction and one == sc.ONE
+    half = (Scalar.from_int(2) * u) / (Scalar.from_int(4) * u)
+    assert type(half.f) is Fraction and half == Scalar.from_fraction(Fraction(1, 2))
+    assert type((sc.ZERO / u).f) is Fraction and sc.ZERO / u == sc.ZERO
