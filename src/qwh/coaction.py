@@ -2,7 +2,8 @@
 
 A MixedAlgebra is the tensor product of a space block (coordinates or
 one-forms) with a group block (quantum-matrix entries); normal words carry
-the group letters first.
+the group letters first.  Coaction images reduce block by block, each block
+in its presentation's own rewrite system (`TensorAlgebra.normal_form`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .presentations import (
 )
 from .report import CheckItem, CheckReport
 from .rewrite import diamond_check
-from .scalar import Scalar
+from .scalar import ONE, Scalar
 
 
 class CoactionError(Exception):
@@ -28,8 +29,8 @@ class CoactionError(Exception):
 
 
 class MixedAlgebra(TensorAlgebra):
-    """The space block tensored with the group block, with the coaction
-    delta(x_i) = sum_j T_ij (x) x_j of each space generator."""
+    """The space block (first) tensored with the group block (second), with
+    the coaction delta(x_i) = sum_j T_ij (x) x_j of each space generator."""
 
     def __init__(self, group: Presentation, space: Presentation):
         if group.matrix is None:
@@ -40,19 +41,14 @@ class MixedAlgebra(TensorAlgebra):
         self.group = group
         self.space = space
         self.images = {}
-        for row, x in enumerate(space.vector):
-            image = NCPoly.zero(self.table)
-            for col, target in enumerate(space.vector):
-                g = group.matrix[row][col]
-                if g is not None:
-                    image = image + NCPoly.word(
-                        self.table, (self.second[g], self.first[target])
-                    )
-            self.images[x] = image
+        for row, x in zip(group.matrix, space.vector):
+            pairs = [(g, y) for g, y in zip(row, space.vector) if g is not None]
+            words = {(self.second[g], self.first[y]): ONE for g, y in pairs}
+            self.images[x] = NCPoly(self.table, words)
 
     def coact(self, p: NCPoly) -> NCPoly:
         """delta extended multiplicatively to polynomials; result is not
-        block-sorted (reduce against the commutation rules to sort)."""
+        block-sorted (`normal_form` with free blocks sorts it)."""
         if p.table != self.space.table:
             raise CoactionError("polynomial is not over the space generators")
         return p.map_letters(self.table, self.images)
@@ -61,7 +57,7 @@ class MixedAlgebra(TensorAlgebra):
 def coact(p: NCPoly, group: Presentation, space: Presentation) -> NCPoly:
     """Block-sorted coaction image of a space polynomial."""
     mixed = MixedAlgebra(group, space)
-    return mixed.rewrite_system().normal_form(mixed.coact(p))
+    return mixed.normal_form(mixed.coact(p))
 
 
 def _coacted_coefficients(
@@ -72,15 +68,14 @@ def _coacted_coefficients(
     relations and the commutation of the blocks; space words ascend within
     each relation."""
     mixed = MixedAlgebra(group, space)
-    system = mixed.rewrite_system(space.relations)
+    system = space.rewrite_system()
     for rel in space.relations:
-        coeffs: Dict[Word, NCPoly] = {}
-        for w, c in system.normal_form(mixed.coact(rel)).terms.items():
+        coeffs: Dict[Word, Dict[Word, Scalar]] = {}
+        for w, c in mixed.normal_form(mixed.coact(rel), system).terms.items():
             sword, gword = mixed.split(w)
-            cur = coeffs.get(sword, NCPoly.zero(group.table))
-            coeffs[sword] = cur + NCPoly.word(group.table, gword, c)
+            coeffs.setdefault(sword, {})[gword] = c
         for sword in sorted(coeffs):
-            yield rel, sword, coeffs[sword]
+            yield rel, sword, NCPoly(group.table, coeffs[sword])
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +87,10 @@ def comodule_residuals(
 ) -> List[Tuple[NCPoly, NCPoly, MixedAlgebra]]:
     """(space relation, residual of its coaction image, mixed context)."""
     mixed = MixedAlgebra(group, space)
-    joint = mixed.rewrite_system(space.relations, group.relations)
+    systems = space.rewrite_system(), group.rewrite_system()
     return [
-        (rel, joint.normal_form(mixed.coact(rel)), mixed) for rel in space.relations
+        (rel, mixed.normal_form(mixed.coact(rel), *systems), mixed)
+        for rel in space.relations
     ]
 
 
@@ -204,13 +200,11 @@ def ansatz_bucket_equations(
     for rel, sword, coeff in _coacted_coefficients(ansatz, group):
         template = rel.render(ansatz.order)
         sname = "*".join(ansatz.table.name(g) for g in sword)
-        buckets: Dict[int, NCPoly] = {}
+        buckets: Dict[int, Dict[Word, Scalar]] = {}
         for w, c in coeff.terms.items():
-            d = sum(group.degree[g] for g in w)
-            cur = buckets.setdefault(d, NCPoly.zero(group.table))
-            buckets[d] = cur + NCPoly.word(group.table, w, c)
+            buckets.setdefault(sum(group.degree[g] for g in w), {})[w] = c
         for d in sorted(buckets):
-            reduced = group_sys.normal_form(buckets[d])
+            reduced = group_sys.normal_form(NCPoly(group.table, buckets[d]))
             for w, c in sorted(reduced.terms.items()):
                 wname = "*".join(group.table.name(g) for g in w)
                 label = (

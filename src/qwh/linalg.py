@@ -67,21 +67,19 @@ class ScalarMatrix:
     def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.cols != other.rows:
             raise LinalgError(f"dimension mismatch {self.cols} vs {other.rows}")
+        # each right-hand row's nonzero (column, value) pairs; sums run up k
+        sparse = [
+            [(j, b) for j, b in enumerate(row) if not b.is_zero()]
+            for row in other.entries
+        ]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = sc.ZERO
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc = [sc.ZERO] * other.cols
+            for a, pairs in zip(row, sparse):
+                if not a.is_zero():
+                    for j, b in pairs:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return ScalarMatrix(out)
 
     def __sub__(self, other):

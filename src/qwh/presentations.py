@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .exprparse import ParseError, SourceSpan, parse_poly_text
-from .freealg import GenTable, MonomialOrder, NCPoly, Word
+from .freealg import AlgebraError, GenTable, MonomialOrder, NCPoly, Word
 from .memo import specialised
 from .rewrite import RewriteSystem, build_rules
 
@@ -68,9 +68,9 @@ class TensorAlgebra:
     block commuting with every letter of the other.
 
     Each block keeps its own precedence and the first block ranks above
-    the second, so the commutation rules move second-block letters left:
-    a normal word reads its second-block letters first, and the normal
-    form of tensor(a, b) is b's word followed by a's.
+    the second, so a normal word reads its second-block letters first, and
+    the normal form of tensor(a, b) is b's word followed by a's.  No joint
+    rewrite system is built: `normal_form` reduces each block in its own.
     """
 
     def __init__(self, first: Presentation, second: Presentation, names=None):
@@ -93,17 +93,33 @@ class TensorAlgebra:
         n = len(self.first)
         return tuple(g for g in w if g < n), tuple(g - n for g in w if g >= n)
 
-    def rewrite_system(self, first_relations=(), second_relations=()) -> RewriteSystem:
-        """Relations of each block, lifted to the joint table, plus the
-        commutation of the two blocks."""
-        relations = [r.relabel(self.table, self.first) for r in first_relations]
-        relations += [r.relabel(self.table, self.second) for r in second_relations]
-        relations += [
-            NCPoly.word(self.table, (a, b)) - NCPoly.word(self.table, (b, a))
-            for a in self.first.values()
-            for b in self.second.values()
-        ]
-        return build_rules(relations, self.order, self.table)
+    def normal_form(self, p: NCPoly, first=None, second=None) -> NCPoly:
+        """p modulo each block's RewriteSystem (None for a free block) and
+        the commutation of the blocks.  Each word splits into its blocks'
+        parts, each part reduces in its own block, and each pair of normal
+        parts rejoins as second-block word + first-block word.  With both
+        systems confluent this is the normal form in the joint system
+        (Bergman's diamond lemma), which is never built."""
+        if p.table != self.table:
+            raise AlgebraError("polynomial over a different generator table")
+        n, memo = len(self.first), {}  # (system, part word) -> normal terms
+
+        def reduce(system, w):
+            if system is None:
+                return {w: sc.ONE}
+            if (system, w) not in memo:
+                memo[system, w] = system.normal_form(NCPoly.word(system.table, w)).terms
+            return memo[system, w]
+
+        out = {}
+        for w, c in p.terms.items():
+            a, b = self.split(w)
+            tails = reduce(first, a)
+            for wb, cb in reduce(second, b).items():
+                head, cb = tuple(n + g for g in wb), c * cb
+                for wa, ca in tails.items():
+                    out[head + wa] = out.get(head + wa, sc.ZERO) + cb * ca
+        return NCPoly(self.table, out)
 
 
 def check_homogeneous(p: NCPoly, degree: Dict[int, int], where="relation"):

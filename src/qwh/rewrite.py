@@ -66,10 +66,8 @@ class RewriteSystem:
     def rewrite_word_once(self, w: Word, pos: int, rule_idx: int) -> NCPoly:
         rule = self.rules[rule_idx]
         prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
-        out = NCPoly.zero(self.table)
-        for rw, rc in rule.rhs.terms.items():
-            out = out + NCPoly.word(self.table, prefix + rw + suffix, rc)
-        return out
+        terms = rule.rhs.terms.items()
+        return NCPoly(self.table, {prefix + rw + suffix: rc for rw, rc in terms})
 
     def normal_form(self, p: NCPoly, rightmost: bool = False) -> NCPoly:
         """Exhaustive reduction; leftmost-outermost by default.

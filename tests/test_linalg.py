@@ -113,6 +113,53 @@ def test_rank_nullity_and_span_reflexivity(M):
     assert span_equal(cols, cols)
 
 
+# mostly zero, otherwise a rational or a parameter expression that can
+# cancel against another entry's
+sparse_entries = st.integers(0, 5).flatmap(
+    lambda kind: st.just(sc.ZERO)
+    if kind < 4
+    else rationals
+    if kind == 4
+    else st.tuples(rationals, st.integers(-2, 2), st.sampled_from([-1, 0, 1])).map(
+        lambda t: t[0] * sc.U ** t[1] + Scalar.from_int(t[2]) * sc.S
+    )
+)
+
+
+@st.composite
+def sparse_factors(draw):
+    """A product A x B of non-square shapes, with an all-zero row of A and
+    an all-zero column of B."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    a = [[draw(sparse_entries) for _ in range(k)] for _ in range(n)]
+    b = [[draw(sparse_entries) for _ in range(m)] for _ in range(k)]
+    a[draw(st.integers(0, n - 1))] = [sc.ZERO] * k
+    zero_col = draw(st.integers(0, m - 1))
+    for row in b:
+        row[zero_col] = sc.ZERO
+    return ScalarMatrix(a), ScalarMatrix(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_factors())
+def test_sparse_product_matches_plain_triple_loop(factors):
+    A, B = factors
+    plain = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = sc.ZERO
+            for k in range(A.cols):
+                acc = acc + A[i, k] * B[k, j]
+            row.append(acc)
+        plain.append(row)
+    product = A * B
+    assert product == ScalarMatrix(plain)
+    assert [[type(x.f) for x in row] for row in product.entries] == [
+        [type(x.f) for x in row] for row in plain
+    ]
+
+
 def test_span_equal_detects_difference():
     e1 = [sc.ONE, sc.ZERO]
     e2 = [sc.ZERO, sc.ONE]

@@ -15,6 +15,7 @@ from qwh.quantumgroup import (
     adjugate,
     det_commutation_derive,
     determinant,
+    extended_system,
     group_presentation,
     group_system,
     hopf_check,
@@ -117,15 +118,17 @@ def test_coproduct_is_multiplicative_on_relations():
     # relation reduces to zero in the two commuting copies
     for which in ("H8", "H10"):
         data = hopf_data(which)
+        esys = extended_system(which)
         for r in data.relations:
-            assert data.doubled_system.normal_form(data.coproduct(r)).is_zero()
+            assert data.doubled.normal_form(data.coproduct(r), esys, esys).is_zero()
 
 
 def test_doubled_normal_words_put_right_copy_first():
     data = hopf_data("H8")
+    esys = extended_system("H8")
     t11, t12 = (NCPoly.parse(data.ext.table, n) for n in ("T11", "T12"))
     table = data.doubled.table
-    nf = data.doubled_system.normal_form(data.doubled.tensor(t11, t12))
+    nf = data.doubled.normal_form(data.doubled.tensor(t11, t12), esys, esys)
     assert nf == NCPoly.word(table, (table.gen("T12.r"), table.gen("T11.l")))
 
 
