@@ -18,7 +18,7 @@ from .linalg import involution_check, pair_to_lin, rhat_builtin
 from .memo import memoised
 from .presentations import Presentation, builtin
 from .report import CheckItem, CheckReport
-from .rewrite import RewriteSystem, build_rules, diamond_check
+from .rewrite import RewriteSystem, diamond_check
 
 
 class DiffCalcError(Exception):
@@ -108,8 +108,7 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
 
 def wz_system(generic_q: bool = False, bindings=None) -> RewriteSystem:
     def make():
-        pres = wz_relations(generic_q=generic_q, bindings=bindings)
-        return build_rules(pres.relations, pres.order, pres.table)
+        return wz_relations(generic_q=generic_q, bindings=bindings).rewrite_system()
 
     return memoised(("wz", generic_q), bindings, make)
 
@@ -148,7 +147,7 @@ def twisted_leibniz_check(bindings=None) -> CheckReport:
     every variable relation is annihilated; 20 random words, seed 0."""
     rng = random.Random(0)
     xspace = builtin("xspace", bindings)
-    xsys = build_rules(xspace.relations, xspace.order, xspace.table)
+    xsys = xspace.rewrite_system()
     items = []
     for rel in xspace.relations:
         for i in (1, 2, 3):

@@ -231,28 +231,33 @@ def involution_check(R: ScalarMatrix) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def rref(M: ScalarMatrix) -> Tuple[ScalarMatrix, List[int]]:
-    """Reduced row echelon form with pivots chosen by least term count."""
-    m = [row[:] for row in M.entries]
-    rows, cols = M.rows, M.cols
+    """Reduced row echelon form and its pivots, eliminating on sparse rows
+    {column: nonzero entry}; each column's pivot row is the candidate of
+    least term count, the first on ties.  Every rank goes through here."""
+    m = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M.entries]
     pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        candidates = [i for i in range(r, rows) if not m[i][c].is_zero()]
+    for c in range(M.cols):
+        r = len(pivots)
+        candidates = [i for i in range(r, M.rows) if c in m[i]]
         if not candidates:
             continue
         best = min(candidates, key=lambda i: m[i][c].term_count())
         m[r], m[best] = m[best], m[r]
         inv = sc.ONE / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivot = m[r] = {j: e * inv for j, e in m[r].items()}
+        for row in m:
+            f = row.get(c)
+            if f is None or row is pivot:
+                continue
+            for j, b in pivot.items():
+                e = row.get(j, sc.ZERO) - f * b
+                if e.is_zero():
+                    del row[j]
+                else:
+                    row[j] = e
         pivots.append(c)
-        r += 1
-    return ScalarMatrix(m), pivots
+    dense = [[row.get(j, sc.ZERO) for j in range(M.cols)] for row in m]
+    return ScalarMatrix(dense), pivots
 
 
 def rank(M: ScalarMatrix) -> int:
@@ -290,7 +295,8 @@ def span_contains(basis: List[List[Scalar]], vecs: List[List[Scalar]]) -> bool:
 
 
 def span_equal(a: List[List[Scalar]], b: List[List[Scalar]]) -> bool:
-    return span_contains(a, b) and span_contains(b, a)
+    """span(a) = span(b), that is, a, b and a + b have one rank."""
+    return _column_rank(a) == _column_rank(a + b) == _column_rank(b)
 
 
 def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]]:

@@ -7,8 +7,10 @@ it) and on the parameter bindings it was built at.  Symbolic entries are
 kept for the life of the process.  Entries built at a rational point are
 kept only until another point is asked for: a run at a point reuses its
 systems across suites, while a sweep over many points holds one point's
-systems at a time.  Cached objects are shared, so callers must not mutate
-them.
+systems at a time.  A presentation keeps the rewrite system built from it
+and a system the part-word normal forms reduced in it, so they live as long
+as the entry that holds them.  Cached objects are shared, so callers must
+not mutate them.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
@@ -28,6 +28,9 @@ class Presentation:
     # matrices; `vector` lists the space generators in coaction order
     matrix: Optional[Tuple[Tuple[Optional[int], ...], ...]] = None
     vector: Optional[Tuple[int, ...]] = None
+    _system: Optional[RewriteSystem] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for r in self.relations:
@@ -44,7 +47,11 @@ class Presentation:
                 check_homogeneous(r, self.degree, self.name)
 
     def rewrite_system(self) -> RewriteSystem:
-        return build_rules(self.relations, self.order, self.table)
+        """`build_rules` of the relations, built on the first call and kept
+        for as long as this presentation lives; callers must not mutate it."""
+        if self._system is None:
+            self._system = build_rules(self.relations, self.order, self.table)
+        return self._system
 
     def substitute(self, bindings, name=None) -> "Presentation":
         return Presentation(
@@ -99,17 +106,19 @@ class TensorAlgebra:
         parts, each part reduces in its own block, and each pair of normal
         parts rejoins as second-block word + first-block word.  With both
         systems confluent this is the normal form in the joint system
-        (Bergman's diamond lemma), which is never built."""
+        (Bergman's diamond lemma), which is never built.  Part normal forms
+        are kept in each system's `word_forms` for as long as it lives."""
         if p.table != self.table:
             raise AlgebraError("polynomial over a different generator table")
-        n, memo = len(self.first), {}  # (system, part word) -> normal terms
+        n = len(self.first)
 
         def reduce(system, w):
             if system is None:
                 return {w: sc.ONE}
-            if (system, w) not in memo:
-                memo[system, w] = system.normal_form(NCPoly.word(system.table, w)).terms
-            return memo[system, w]
+            forms = system.word_forms
+            if w not in forms:
+                forms[w] = system.normal_form(NCPoly.word(system.table, w)).terms
+            return forms[w]
 
         out = {}
         for w, c in p.terms.items():

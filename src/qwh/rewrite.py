@@ -35,9 +35,14 @@ class RewriteSystem:
         self.table = table
         self.order = order
         self.rules = list(rules)
-        self._by_first: Dict[int, List[int]] = {}
+        # each lhs to its lowest rule index, probed longest lhs first
+        self._by_lhs: Dict[Word, int] = {}
         for i, r in enumerate(self.rules):
-            self._by_first.setdefault(r.lhs[0], []).append(i)
+            self._by_lhs.setdefault(r.lhs, i)
+        self._lengths = sorted({len(lhs) for lhs in self._by_lhs}, reverse=True)
+        #: one-word normal forms, word -> {normal word: coefficient}, filled
+        #: by `TensorAlgebra.normal_form` for as long as the system lives
+        self.word_forms: Dict[Word, Dict[Word, sc.Scalar]] = {}
 
     def __len__(self):
         return len(self.rules)
@@ -46,14 +51,13 @@ class RewriteSystem:
 
     def _match_at(self, w: Word, pos: int) -> Optional[int]:
         """Longest-lhs rule matching w at pos (ties broken by rule index)."""
-        best = None
-        best_len = -1
-        for i in self._by_first.get(w[pos], ()):
-            lhs = self.rules[i].lhs
-            n = len(lhs)
-            if pos + n <= len(w) and w[pos : pos + n] == lhs and n > best_len:
-                best, best_len = i, n
-        return best
+        rest = len(w) - pos
+        for n in self._lengths:
+            if n <= rest:
+                i = self._by_lhs.get(w[pos : pos + n])
+                if i is not None:
+                    return i
+        return None
 
     def find_redex(self, w: Word) -> Optional[Tuple[int, int]]:
         """Leftmost-outermost redex: (position, rule index) or None."""

@@ -20,6 +20,7 @@ from qwh.coaction import (
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import NCPoly
 from qwh.presentations import builtin
+from qwh.quantumgroup import group_presentation
 from qwh.rewrite import build_rules
 from qwh.scalar import Scalar
 
@@ -129,3 +130,15 @@ def test_specialized_comodule_still_passes():
     b = {"u": Fraction(7, 4), "s": Fraction(2, 3)}
     assert comodule_check(XSPACE.substitute(b), GROUP.substitute(b)).ok
     assert constraint_span_check(bindings=b).ok
+
+
+@pytest.mark.parametrize(
+    "bindings", [None, {"u": Fraction(2), "s": Fraction(3)}], ids=["symbolic", "u=2,s=3"]
+)
+@pytest.mark.parametrize("space", ["xspace", "xispace"])
+def test_nine_generator_group_coacts_on_both_spaces(space, bindings):
+    """The coordinate and one-form spaces are comodules of the 9-generator
+    group as well: its RTT relations keep both relation spans invariant."""
+    group = group_presentation("H10", bindings)
+    rep = comodule_check(builtin(space, bindings), group)
+    assert rep.ok, rep.render_text()

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwh import linalg
 from qwh import scalar as sc
+from qwh.cli import _SUITES, run_suite
 from qwh.linalg import (
     ScalarMatrix,
     eigensplit,
@@ -158,6 +160,95 @@ def test_sparse_product_matches_plain_triple_loop(factors):
     assert [[type(x.f) for x in row] for row in product.entries] == [
         [type(x.f) for x in row] for row in plain
     ]
+
+
+# -- sparse elimination against the dense elimination it replaced ---------
+
+def dense_rref(M):
+    """The dense reference: every row a full list, every entry of a row
+    operation computed, pivots chosen by least term count (first on ties)."""
+    m = [row[:] for row in M.entries]
+    rows, cols = M.rows, M.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        candidates = [i for i in range(r, rows) if not m[i][c].is_zero()]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: m[i][c].term_count())
+        m[r], m[best] = m[best], m[r]
+        inv = sc.ONE / m[r][c]
+        m[r] = [e * inv for e in m[r]]
+        for i in range(rows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return ScalarMatrix(m), pivots
+
+
+def assert_rref_matches_dense(M):
+    """Equal pivots, and equal entries by value and by representation."""
+    E, pivots = rref(M)
+    D, dense_pivots = dense_rref(M)
+    assert pivots == dense_pivots
+    assert (E.rows, E.cols) == (D.rows, D.cols)
+    for got, want in zip(E.entries, D.entries):
+        assert got == want
+        assert [type(x.f) for x in got] == [type(x.f) for x in want]
+
+
+POINTS = [None, {"u": Fraction(2), "s": Fraction(3)}]
+
+
+@pytest.mark.parametrize("bindings", POINTS, ids=["symbolic", "u=2,s=3"])
+def test_rref_matches_dense_on_every_suite_matrix(bindings, monkeypatch):
+    """Every matrix the 18 suites (and the generic-q variants) eliminate."""
+    seen = []
+
+    def capture(M, real=linalg.rref):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "rref", capture)
+    for name, (_, supports_gq) in _SUITES.items():
+        for generic_q in (False, True) if supports_gq else (False,):
+            run_suite(name, bindings, generic_q)
+    assert len(seen) > 20
+    assert any(type(x.f) is not Fraction for M in seen for row in M.entries for x in row)
+    for M in seen:
+        assert_rref_matches_dense(M)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero rows, one of them a combination of two others, so that
+    entries cancel during elimination."""
+    rows, cols = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    m = [[draw(sparse_entries) for _ in range(cols)] for _ in range(rows)]
+    i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+    a, b = draw(sparse_entries), draw(sparse_entries)
+    m.insert(draw(st.integers(0, rows)), [a * x + b * y for x, y in zip(m[i], m[j])])
+    return ScalarMatrix(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_on_sparse_matrices(M):
+    assert_rref_matches_dense(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_span_equal_is_mutual_containment(M, data):
+    """Three ranks decide what two containment tests decided."""
+    cols = M.columns()
+    a = data.draw(st.lists(st.sampled_from(cols), max_size=4))
+    b = data.draw(st.lists(st.sampled_from(cols), max_size=4))
+    assert span_equal(a, b) == (span_contains(a, b) and span_contains(b, a))
 
 
 def test_span_equal_detects_difference():

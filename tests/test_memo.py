@@ -3,11 +3,14 @@ entry per artifact and point, the most recent point only, equal to a fresh
 build, and never mutated by the suites that share it."""
 
 import gc
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from qwh import rewrite
 from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
 from qwh.freealg import NCPoly
@@ -151,3 +154,27 @@ def test_suites_leave_cached_objects_unchanged():
     after = _cached_objects()
     assert all(after[k] is cached[k] for k in cached)
     assert {k: _snapshot(v) for k, v in cached.items()} == before
+
+
+def test_a_pass_at_a_point_builds_each_system_once(monkeypatch):
+    """One pass of the 18 suites at a fresh point orients each relation
+    list once: presentations keep their systems, and the memo shares one
+    presentation per point."""
+    point = {"u": Fraction(7, 3), "s": Fraction(2, 5)}
+    builtin("TT7", POINT)  # any other point evicts this one's entries
+    built = Counter()
+    real = rewrite.build_rules
+
+    def counting(relations, order, table=None):
+        names = tuple((table or relations[0].table).names)
+        built[names, tuple(map(str, relations))] += 1
+        return real(relations, order, table)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
+        if getattr(module, "build_rules", None) is real:
+            monkeypatch.setattr(module, "build_rules", counting)
+    for runner, _ in _SUITES.values():
+        assert runner(point, False).status == "PASS"
+    t7 = tuple(builtin("TT7").table.names)
+    assert sum(n for (names, _), n in built.items() if names == t7) == 1
+    assert set(built.values()) == {1}

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from qwh import scalar as sc
 from qwh.freealg import GenTable, MonomialOrder, NCPoly
+from qwh.diffcalc import wz_system
 from qwh.presentations import builtin
-from qwh.quantumgroup import group_system
+from qwh.quantumgroup import extended_system, group_system
 from qwh.rewrite import (
     CompletionFailure,
+    RewriteRule,
     RewriteSystem,
     build_rules,
     complete,
@@ -183,3 +185,53 @@ def test_normal_word_counts_are_flat(name, counts, bindings):
     else:
         system = builtin(name, bindings).rewrite_system()
     assert _normal_word_counts(system, len(counts) - 1) == counts
+
+
+# -- redex lookup: the lhs index against a scan over every rule -------------
+
+def _scanned_redex(system, w):
+    """Leftmost position holding some lhs, and there the longest matching
+    lhs of lowest rule index, found by trying every rule."""
+    for pos in range(len(w)):
+        hits = [
+            (-len(r.lhs), i)
+            for i, r in enumerate(system.rules)
+            if w[pos : pos + len(r.lhs)] == r.lhs
+        ]
+        if hits:
+            return pos, min(hits)[1]
+    return None
+
+
+REDEX_SYSTEMS = {
+    "wz": wz_system(),
+    "TT7": builtin("TT7").rewrite_system(),
+    "tdinv": extended_system("H10"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(REDEX_SYSTEMS)), st.data())
+def test_find_redex_matches_a_scan_over_all_rules(name, data):
+    system = REDEX_SYSTEMS[name]
+    letters = st.integers(0, len(system.table) - 1)
+    w = data.draw(st.lists(letters, max_size=8).map(tuple))
+    assert system.find_redex(w) == _scanned_redex(system, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(REDEX_SYSTEMS)), st.data())
+def test_find_redex_prefers_the_longest_then_the_first_rule(name, data):
+    """Left-hand sides of mixed lengths, repeats included, over the same
+    alphabets (the built systems' lhs are all of length 2)."""
+    table = REDEX_SYSTEMS[name].table
+    letters = st.integers(0, len(table) - 1)
+    lhs = st.lists(letters, min_size=1, max_size=3).map(tuple)
+    lhss = data.draw(st.lists(lhs, min_size=1, max_size=12))
+    system = RewriteSystem(
+        table,
+        MonomialOrder.default(table),
+        [RewriteRule(lhs, NCPoly.zero(table)) for lhs in lhss],
+    )
+    w = data.draw(st.lists(letters, max_size=8).map(tuple))
+    assert system.find_redex(w) == _scanned_redex(system, w)

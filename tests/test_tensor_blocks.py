@@ -7,9 +7,9 @@ import pytest
 
 from qwh.coaction import MixedAlgebra
 from qwh.freealg import AlgebraError, NCPoly
-from qwh.presentations import builtin
-from qwh.quantumgroup import extended_system, hopf_data
-from qwh.rewrite import build_rules
+from qwh.presentations import TensorAlgebra, builtin
+from qwh.quantumgroup import extended_system, hopf_check, hopf_data
+from qwh.rewrite import RewriteSystem, build_rules
 
 POINTS = [None, {"u": Fraction(2), "s": Fraction(3)}]
 POINT_IDS = ["symbolic", "u=2,s=3"]
@@ -72,3 +72,29 @@ def test_normal_form_rejects_a_polynomial_over_another_table():
     data = hopf_data("H8")
     with pytest.raises(AlgebraError, match="different generator table"):
         data.doubled.normal_form(NCPoly.generator(data.ext.table, 0))
+
+
+def test_a_repeated_hopf_check_reduces_no_part_word_again(monkeypatch):
+    """Part-word normal forms live on their rewrite system, and the
+    extended systems are memoised, so a second check reuses every one."""
+    assert hopf_check("H10").ok
+    inside, tensor_calls, part_reductions = [], [], []
+    tensor_nf, system_nf = TensorAlgebra.normal_form, RewriteSystem.normal_form
+
+    def counting_tensor_nf(self, *args, **kwargs):
+        tensor_calls.append(1)
+        inside.append(1)
+        try:
+            return tensor_nf(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_system_nf(self, p, rightmost=False):
+        if inside:
+            part_reductions.append(p)
+        return system_nf(self, p, rightmost)
+
+    monkeypatch.setattr(TensorAlgebra, "normal_form", counting_tensor_nf)
+    monkeypatch.setattr(RewriteSystem, "normal_form", counting_system_nf)
+    assert hopf_check("H10").ok
+    assert tensor_calls and not part_reductions
