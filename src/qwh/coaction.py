@@ -219,7 +219,8 @@ def _eliminate(
     equations: List[Tuple[str, Scalar]]
 ) -> Tuple[Dict[str, Scalar], List[Tuple[str, Scalar]], List[str]]:
     """Deterministic elimination: repeatedly solve equations that are linear
-    in a single unknown (priority order ANSATZ_UNKNOWNS) and substitute."""
+    in a single unknown (priority order ANSATZ_UNKNOWNS) and substitute it
+    into the pending equations that contain it."""
     pending = [(label, c) for label, c in equations if not c.is_zero()]
     solved: Dict[str, Scalar] = {}
     progress = True
@@ -238,7 +239,8 @@ def _eliminate(
                 solved[target] = -const / slope
                 new_pending = []
                 for lab2, c2 in pending:
-                    c2 = c2.substitute({target: solved[target]})
+                    if target in _unknowns_in(c2):
+                        c2 = c2.substitute({target: solved[target]})
                     if not c2.is_zero():
                         new_pending.append((lab2, c2))
                 pending = new_pending

@@ -6,20 +6,26 @@ only positively; the last six names are the unknown coefficients of the
 one-form ansatz and are carried as ordinary field generators.  Everything
 is exact: no floating point anywhere.
 
-A scalar has one of two representations.  A value in which no parameter
-occurs is a `fractions.Fraction`; at a rational point almost every
-coefficient is one, and Fraction arithmetic skips sympy's polynomial gcd.
-A value in which some parameter occurs is a sympy `FracElement` of
-`FIELD`.  An operation with a `FracElement` operand lifts the other
-operand into `FIELD` and demotes its result to a `Fraction` when neither
-numerator nor denominator carries a parameter, so every value has exactly
-one representation.  Only this module knows either of them.
+A scalar has one of three representations, and each value has exactly one:
 
-Almost every coefficient met in rewriting is a Laurent monomial
-c*u^a*s^b*..., and a product or quotient of two monomials never reaches
-the gcd: it multiplies or divides the coefficients, adds or subtracts the
-exponents and builds the canonical FracElement directly.  Sums, and
-products with a non-monomial operand, take the field path.
+- a `fractions.Fraction` when no parameter occurs.  At a rational point
+  almost every coefficient is one;
+- a Laurent monomial c*u^a*s^b*... in which some exponent is nonzero, held
+  as one term: the pair (exponent tuple over PARAM_NAMES, nonzero Fraction
+  c).  Symbolically almost every coefficient met in rewriting is one;
+- a sympy `FracElement` of `FIELD` in lowest terms for everything else,
+  that is when the numerator or the denominator has more than one term.
+
+Products, quotients, powers and negations of Fractions and monomials are
+computed on the coefficients and the exponent tuples and never build a
+sympy object.  Adding 0, or multiplying by 1 or -1, returns the other
+operand or its negation without arithmetic.  Sums, and every operation
+with a FracElement operand, lift both operands into FIELD and take the
+field path, and the result is demoted to the narrowest representation.
+Like monomials could be summed natively, but sums are where symbolic work
+enters sympy's `PolyElement.cancel`, and the benchmark's tracer requires
+every workload to enter that boundary; sums stay on the field path until
+that requirement is revised.  Only this module knows the representations.
 """
 
 from __future__ import annotations
@@ -32,11 +38,11 @@ from sympy.polys.fields import field
 
 PARAM_NAMES = ("u", "s", "q", "k", "c21", "lam", "lam12", "mu", "mu12")
 
-_FIELD_AND_GENS = field(PARAM_NAMES, QQ)
-FIELD = _FIELD_AND_GENS[0]
+FIELD = field(PARAM_NAMES, QQ)[0]
 _RING = FIELD.ring
-_GENS = dict(zip(PARAM_NAMES, _FIELD_AND_GENS[1:]))
 _CONST = _RING.zero_monom
+_FRAC = type(FIELD.one)
+_POLY = type(_RING.one)
 _QQ = QQ.dtype
 
 
@@ -48,79 +54,107 @@ class SubstitutionError(ScalarError):
     """A binding made a denominator vanish."""
 
 
-def _lift(f):
-    """`f` as an element of FIELD.
+def _split(exps):
+    """Laurent exponents as (positive part, negated negative part)."""
+    up = tuple([e if e > 0 else 0 for e in exps])
+    return up, tuple([-e if e < 0 else 0 for e in exps])
 
-    A Fraction is in lowest terms with a positive denominator, which is
-    already FIELD's canonical form, so it is wrapped without a gcd."""
+
+def _lift(f):
+    """`f` as an element of FIELD, built without a gcd.
+
+    A nonzero Fraction is in lowest terms with a positive denominator,
+    which is already FIELD's canonical form.  A monomial puts the numerator
+    of its coefficient and its positive exponents on top, and the
+    denominator and the negated negative exponents below."""
     if type(f) is Fraction:
-        return FIELD.raw_new(
-            _RING.ground_new(QQ(f.numerator)), _RING.ground_new(QQ(f.denominator))
-        )
-    return f
+        if not f:
+            return FIELD.zero
+        c, up, down = f, _CONST, _CONST
+    elif type(f) is tuple:
+        (up, down), c = _split(f[0]), f[1]
+    else:
+        return f
+    num = _POLY(_RING, {up: _QQ(c.numerator)})
+    return _FRAC(FIELD, num, _POLY(_RING, {down: _QQ(c.denominator)}))
 
 
 def _to_fraction(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _monomial(f):
-    """(numerator, denominator, exponents) of a Laurent monomial
-    n/d*u^a*s^b*..., or None.  A Fraction is a monomial with every exponent
-    zero.  In FIELD's canonical form the two coefficients of a monomial are
-    already n and d: coprime integers, d positive."""
-    if type(f) is Fraction:
-        return f.numerator, f.denominator, _CONST
+def _laurent(exps, c: Fraction) -> "Scalar":
+    """c*u^a*s^b*... for a nonzero c: a Fraction when every exponent is 0."""
+    return Scalar((exps, c)) if any(exps) else Scalar(c)
+
+
+def _demote(f) -> "Scalar":
+    """A FracElement in lowest terms as a Scalar in its narrowest form."""
     n, d = f.numer, f.denom
-    if len(n) != 1 or len(d) != 1:
-        return None
+    if len(n) > 1 or len(d) > 1:
+        return Scalar(f)
+    if not n:
+        return ZERO
     ((mn, cn),) = n.items()
     ((md, cd),) = d.items()
-    return int(cn.numerator), int(cd.numerator), tuple(map(operator.sub, mn, md))
-
-
-def _from_monomial(c: Fraction, exps) -> "Scalar":
-    """The scalar c*u^a*s^b*... in canonical form, built without a gcd:
-    the numerator of c and the positive exponents on top, the denominator
-    of c and the negated negative exponents below."""
-    if not c or not any(exps):
-        return Scalar(c)
-    up = tuple(e if e > 0 else 0 for e in exps)
-    down = tuple(-e if e < 0 else 0 for e in exps)
-    return Scalar(FIELD.raw_new(
-        _RING.dtype({up: _QQ(c.numerator)}), _RING.dtype({down: _QQ(c.denominator)})
-    ))
+    c = _to_fraction(cn) / _to_fraction(cd)
+    return _laurent(tuple(map(operator.sub, mn, md)), c)
 
 
 def _field_op(op, a, b) -> "Scalar":
-    """`op` on FIELD, the result demoted to a Fraction when it is constant.
-
-    A product or quotient of two monomials is computed on their
-    coefficients and exponents and never reaches the gcd."""
-    if op is operator.mul or op is operator.truediv:
-        ma, mb = _monomial(a), _monomial(b)
-        if ma is not None and mb is not None:
-            (na, da, ea), (nb, db, eb) = ma, mb
-            if op is operator.mul:
-                c, exp_op = Fraction(na * nb, da * db), operator.add
-            else:
-                c, exp_op = Fraction(na * db, da * nb), operator.sub
-            return _from_monomial(c, tuple(map(exp_op, ea, eb)))
-    f = op(_lift(a), _lift(b))
-    n, d = f.numer, f.denom
-    if n.is_ground and d.is_ground:
-        return Scalar(_to_fraction(n.get(_CONST, 0)) / _to_fraction(d[_CONST]))
-    return Scalar(f)
+    return _demote(op(_lift(a), _lift(b)))
 
 
-def _sub(a, b) -> "Scalar":
+def _coeff_product(a: Fraction, b: Fraction) -> Fraction:
+    """a*b, without arithmetic when a factor is 1 or -1, as the coefficients
+    of almost all monomials are."""
+    if a == 1:
+        return b
+    if b == 1:
+        return a
+    if a == -1:
+        return -b
+    if b == -1:
+        return -a
+    return a * b
+
+
+def _mul(x: "Scalar", y: "Scalar") -> "Scalar":
+    a, b = x.f, y.f
+    if type(a) is not Fraction:
+        if type(b) is not Fraction:
+            if type(a) is tuple and type(b) is tuple:
+                return _laurent(
+                    tuple(map(operator.add, a[0], b[0])), _coeff_product(a[1], b[1])
+                )
+            return _field_op(operator.mul, a, b)
+        x, y, a, b = y, x, b, a  # the product commutes: the Fraction goes on the left
+    if not a:
+        return ZERO
+    if a == 1:
+        return y
+    if a == -1:
+        return -y
     if type(b) is Fraction:
+        if b == 1:
+            return x
+        if b == -1:
+            return Scalar(-a)
+        return Scalar(a * b)
+    if type(b) is tuple:
+        return Scalar((b[0], _coeff_product(a, b[1])))
+    return _field_op(operator.mul, a, b)
+
+
+def _sub(x: "Scalar", y: "Scalar") -> "Scalar":
+    a, b = x.f, y.f
+    if type(b) is Fraction:
+        if not b:
+            return x
         if type(a) is Fraction:
             return Scalar(a - b)
-        if not b:
-            return Scalar(a)
     elif type(a) is Fraction and not a:
-        return Scalar(-b)
+        return -y
     return _field_op(operator.sub, a, b)
 
 
@@ -130,18 +164,26 @@ def _div(a, b) -> "Scalar":
             raise ZeroDivisionError("Scalar division by zero")
         if type(a) is Fraction:
             return Scalar(a / b)
+        if type(a) is tuple:
+            return Scalar((a[0], a[1] / b))
+    elif type(b) is tuple:
+        if type(a) is Fraction:
+            return Scalar((tuple(-e for e in b[0]), a / b[1])) if a else ZERO
+        if type(a) is tuple:
+            return _laurent(tuple(map(operator.sub, a[0], b[0])), a[1] / b[1])
     return _field_op(operator.truediv, a, b)
 
 
-def _value(x):
-    return x.f if isinstance(x, Scalar) else Scalar.coerce(x).f
+def _scalar(x) -> "Scalar":
+    return x if type(x) is Scalar else Scalar.coerce(x)
 
 
 class Scalar:
     """Immutable element of the coefficient field, kept in canonical form.
 
-    `f` is a Fraction when no parameter occurs and a sympy FracElement in
-    lowest terms when some parameter does (see the module docstring).  Each
+    `f` is a Fraction when no parameter occurs, an (exponents, coefficient)
+    pair for a Laurent monomial in which some parameter does, and a sympy
+    FracElement in lowest terms otherwise (see the module docstring).  Each
     value has one representation, so two equal scalars compare equal
     structurally and hash alike.
     """
@@ -166,9 +208,9 @@ class Scalar:
 
     @staticmethod
     def param(name: str) -> "Scalar":
-        if name not in _GENS:
+        if name not in PARAMS:
             raise ScalarError(f"unknown parameter {name!r}; known: {PARAM_NAMES}")
-        return Scalar(_GENS[name])
+        return PARAMS[name]
 
     @staticmethod
     def coerce(x) -> "Scalar":
@@ -183,43 +225,35 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.f, _value(other)
-        if type(a) is Fraction:
-            if type(b) is Fraction:
+        other = _scalar(other)
+        a, b = self.f, other.f
+        if type(a) is Fraction and not a:
+            return other
+        if type(b) is Fraction:
+            if not b:
+                return self
+            if type(a) is Fraction:
                 return Scalar(a + b)
-            a, b = b, a  # the sum commutes: the parameter goes on the left
-        if type(b) is Fraction and not b:
-            return Scalar(a)
         return _field_op(operator.add, a, b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _sub(self.f, _value(other))
+        return _sub(self, _scalar(other))
 
     def __rsub__(self, other):
-        return _sub(_value(other), self.f)
+        return _sub(_scalar(other), self)
 
     def __mul__(self, other):
-        a, b = self.f, _value(other)
-        if type(a) is Fraction:
-            if type(b) is Fraction:
-                return Scalar(a * b)
-            a, b = b, a  # the product commutes: the parameter goes on the left
-        if type(b) is Fraction:
-            if not b:
-                return ZERO
-            if b == 1:
-                return Scalar(a)
-        return _field_op(operator.mul, a, b)
+        return _mul(self, _scalar(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _div(self.f, _value(other))
+        return _div(self.f, _scalar(other).f)
 
     def __rtruediv__(self, other):
-        return _div(_value(other), self.f)
+        return _div(_scalar(other).f, self.f)
 
     def __pow__(self, n: int):
         if n < 0 and self.is_zero():
@@ -227,6 +261,10 @@ class Scalar:
         if not n:
             return ONE  # the empty product, 0**0 included
         f = self.f
+        if type(f) is tuple:
+            return Scalar((tuple(e * n for e in f[0]), f[1] ** n))
+        # a power of a many-term numerator or denominator has many terms, so
+        # a FracElement's power needs no demotion
         if type(f) is Fraction or n > 0:
             return Scalar(f ** n)
         # sympy inverts by swapping numerator and denominator, which can
@@ -237,7 +275,10 @@ class Scalar:
         return Scalar(FIELD.raw_new(num, den))
 
     def __neg__(self):
-        return Scalar(-self.f)
+        f = self.f
+        if type(f) is tuple:
+            return Scalar((f[0], -f[1]))
+        return Scalar(-f)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -276,6 +317,9 @@ class Scalar:
         f = self.f
         if type(f) is Fraction:
             return ([(_CONST, f)] if f else []), [(_CONST, 1)]
+        if type(f) is tuple:
+            (up, down), c = _split(f[0]), f[1]
+            return [(up, Fraction(c.numerator))], [(down, Fraction(c.denominator))]
         return f.numer.terms(), f.denom.terms()
 
     def term_count(self) -> int:
@@ -302,7 +346,7 @@ class Scalar:
         """
         vals = {}
         for name, v in bindings.items():
-            if name not in _GENS:
+            if name not in PARAMS:
                 raise ScalarError(f"unknown parameter {name!r}")
             vals[name] = Scalar.coerce(v)
         if self.is_rational():
@@ -341,7 +385,10 @@ class Scalar:
 
 ZERO = Scalar(Fraction(0))
 ONE = Scalar(Fraction(1))
-PARAMS = {name: Scalar(g) for name, g in _GENS.items()}
+PARAMS = {
+    name: Scalar((tuple(int(i == j) for j in range(len(PARAM_NAMES))), Fraction(1)))
+    for i, name in enumerate(PARAM_NAMES)
+}
 U = PARAMS["u"]
 S = PARAMS["s"]
 Q = PARAMS["q"]

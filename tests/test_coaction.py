@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwh import coaction
 from qwh import scalar as sc
+from qwh.cli import run_suite
 from qwh.coaction import (
     MixedAlgebra,
     ansatz_check,
@@ -124,6 +126,52 @@ def test_pin_free_coefficients_matches_builtin_one_forms():
 def test_ansatz_check_suite():
     rep = ansatz_check()
     assert rep.ok, rep.render_text()
+
+
+def test_elimination_substitutes_only_into_equations_holding_the_unknown(monkeypatch):
+    """A solved unknown is substituted only into the pending equations that
+    contain it: in a warm ansatz suite at a point, no substitution made by
+    the elimination binds a name its scalar lacks, and the pins are the
+    symbolic pins at that point."""
+    point = {"u": Fraction(5, 3), "s": Fraction(-7, 2)}
+    assert run_suite("ansatz", point, False).ok
+    depth, idle, calls = [], [], []
+    real_eliminate, real_substitute = coaction._eliminate, Scalar.substitute
+
+    def eliminate(equations):
+        depth.append(None)
+        try:
+            return real_eliminate(equations)
+        finally:
+            depth.pop()
+
+    def substitute(self, bindings):
+        if depth:
+            calls.append(bindings)
+            if not set(bindings) & self.params_used():
+                idle.append(bindings)
+        return real_substitute(self, bindings)
+
+    monkeypatch.setattr(coaction, "_eliminate", eliminate)
+    monkeypatch.setattr(Scalar, "substitute", substitute)
+    assert run_suite("ansatz", point, False).ok
+    assert calls and idle == []
+
+    at_point = ansatz_solve(builtin("ansatz_xi", point), builtin("TT7", point))
+    symbolic = ansatz_solve(builtin("ansatz_xi"))
+    assert at_point.solved == {
+        n: v.substitute(point) for n, v in symbolic.solved.items()
+    }
+    assert at_point.solved == {
+        "k": sc.ZERO,
+        "lam12": sc.ZERO,
+        "mu12": sc.ZERO,
+        "c21": Scalar.from_fraction(Fraction(-9, 25)),
+        "lam": Scalar.from_fraction(Fraction(-3, 5)),
+        "mu": Scalar.from_fraction(Fraction(-5, 3)),
+    }
+    pins, report = pin_free_coefficients(bindings=point)
+    assert report.ok and pins == {n: at_point.solved[n] for n in pins}
 
 
 def test_specialized_comodule_still_passes():

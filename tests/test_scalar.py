@@ -1,15 +1,21 @@
 """Exact scalar arithmetic: field axioms, substitution, rendering."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracElement
 
+from qwh import memo
 from qwh import scalar as sc
+from qwh.cli import _SUITES, run_suite
+from qwh.diffcalc import apply_derivative
 from qwh.exprparse import ParseError, parse_poly_text, parse_scalar_text
 from qwh.freealg import GenTable, NCPoly
+from qwh.presentations import builtin
 from qwh.scalar import Scalar
 
 rationals = st.fractions(
@@ -153,9 +159,17 @@ def _evaluate(tree, const, param):
     """(Scalar, FracElement) of a tree, reading it once in each arithmetic.
 
     The field side is the reference: every value goes through sympy's
-    cancelling constructors, so it is canonical.  A zero divisor, or zero
-    to a negative power, is skipped on both sides alike.  A power 0 is the
-    empty product on the field side, where sympy refuses 0**0."""
+    cancelling constructors, so it is canonical.  Every value along the
+    way, subtrees included, is checked to be held in its narrowest form.
+    A zero divisor, or zero to a negative power, is skipped on both sides
+    alike.  A power 0 is the empty product on the field side, where sympy
+    refuses 0**0."""
+    x, ref = _evaluate_node(tree, const, param)
+    assert _is_narrowest(x.f), (tree, x.f)
+    return x, ref
+
+
+def _evaluate_node(tree, const, param):
     kind = tree[0]
     if kind == "c":
         return Scalar.from_fraction(tree[1]), sc.FIELD.one * const(tree[1])
@@ -183,6 +197,30 @@ def _evaluate(tree, const, param):
     return a / b, fa / fb
 
 
+def _is_narrowest(f):
+    """Whether `f` is a Scalar value in its narrowest form: a Fraction; a
+    monomial (exponents over all nine parameters, not all zero, and a
+    nonzero Fraction coefficient); or a FracElement whose numerator or
+    denominator has more than one term."""
+    if type(f) is Fraction:
+        return True
+    if type(f) is tuple:
+        exps, c = f
+        return (
+            type(exps) is tuple
+            and len(exps) == len(sc.PARAM_NAMES)
+            and all(type(e) is int for e in exps)
+            and any(exps)
+            and type(c) is Fraction
+            and c != 0
+        )
+    return (
+        isinstance(f, FracElement)
+        and f.field is sc.FIELD
+        and (len(f.numer) > 1 or len(f.denom) > 1)
+    )
+
+
 def _field_value(f, point):
     """A FracElement at a rational point, or None where its denominator
     vanishes."""
@@ -208,6 +246,8 @@ def test_scalar_agrees_with_the_field(tree, point):
     gens = dict(zip(sc.PARAM_NAMES, sc.FIELD.gens))
     x, ref = _evaluate(tree, lambda c: QQ(c.numerator, c.denominator), gens.get)
     assert sc._lift(x.f) == ref
+    want = _as_scalar(ref)
+    assert x == want and type(x.f) is type(want.f) and hash(x) == hash(want)
     assert x.is_rational() == (ref.numer.is_ground and ref.denom.is_ground)
     assert x.is_rational() == (type(x.f) is Fraction)
     value = _field_value(ref, point)
@@ -269,11 +309,21 @@ def monomials(draw):
 
 
 def _as_scalar(f):
-    """A canonical FracElement as the Scalar holding it: a Fraction when it
-    is constant."""
-    if f.numer.is_ground and f.denom.is_ground:
-        return Scalar(sc._to_fraction(f.numer.LC) / sc._to_fraction(f.denom.LC))
-    return Scalar(f)
+    """A canonical FracElement as the Scalar holding it, read off its
+    numerator and denominator: a Fraction when both are constants, an
+    (exponents, coefficient) monomial when both have one term, and the
+    FracElement itself otherwise."""
+    num, den = f.numer.terms(), f.denom.terms()
+    if len(num) > 1 or len(den) > 1:
+        return Scalar(f)
+    if not num:
+        return Scalar(Fraction(0))
+    ((num_exps, num_c),), ((den_exps, den_c),) = num, den
+    c = Fraction(int(num_c.numerator), int(num_c.denominator)) / Fraction(
+        int(den_c.numerator), int(den_c.denominator)
+    )
+    exps = tuple(a - b for a, b in zip(num_exps, den_exps))
+    return Scalar((exps, c)) if any(exps) else Scalar(c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -298,3 +348,82 @@ def test_monomials_whose_exponents_cancel_are_fractions():
     half = (Scalar.from_int(2) * u) / (Scalar.from_int(4) * u)
     assert type(half.f) is Fraction and half == Scalar.from_fraction(Fraction(1, 2))
     assert type((sc.ZERO / u).f) is Fraction and sc.ZERO / u == sc.ZERO
+
+
+# -- adding 0 and multiplying by 1 or -1 -----------------------------------
+
+def _multi_term(pair):
+    (x, _), (y, _) = pair
+    return x + y + sc.ONE
+
+
+values_of_each_form = st.one_of(
+    small_rationals.map(Scalar.from_fraction),
+    monomials().map(lambda m: m[0]).filter(lambda x: not x.is_rational()),
+    st.tuples(monomials(), monomials()).map(_multi_term).filter(
+        lambda x: isinstance(x.f, FracElement)
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values_of_each_form)
+def test_adding_zero_and_multiplying_by_one_agree_with_the_field(x):
+    fx, lift = sc._lift(x.f), lambda c: sc._lift(Scalar.coerce(c).f)
+    cases = [
+        (sc.ZERO + x, lift(0) + fx),
+        (x + sc.ZERO, fx + lift(0)),
+        (0 + x, lift(0) + fx),
+        (x + 0, fx + lift(0)),
+        (x - sc.ZERO, fx - lift(0)),
+        (sc.ZERO - x, lift(0) - fx),
+    ]
+    for c in (1, -1):
+        cases += [
+            (Scalar.from_int(c) * x, lift(c) * fx),
+            (x * Scalar.from_int(c), fx * lift(c)),
+            (c * x, lift(c) * fx),
+            (x * c, fx * lift(c)),
+        ]
+    for got, ref in cases:
+        want = _as_scalar(ref)
+        assert sc._lift(got.f) == ref
+        assert got == want
+        assert type(got.f) is type(want.f)
+        assert hash(got) == hash(want)
+    # without arithmetic: the other operand itself comes back
+    assert sc.ZERO + x is x and sc.ONE * x is x
+    if x not in (sc.ZERO, sc.ONE, -sc.ONE):
+        assert x + sc.ZERO is x and x - sc.ZERO is x and x * sc.ONE is x
+
+
+# -- every stored value is in its narrowest form ---------------------------
+
+def test_no_value_is_stored_in_a_wider_form_than_it_needs(monkeypatch):
+    """While the 18 suites run symbolically and at u=2,s=3, and while
+    derivatives of every coordinate word of length <= 3 are taken at both,
+    no Scalar holds a monomial, or a constant, as a FracElement.  The memo
+    starts empty, so the systems are built under the audit too."""
+    wide, stored = [], []
+    real_init = Scalar.__init__
+
+    def init(self, f):
+        stored.append(None)
+        if not _is_narrowest(f):
+            wide.append(f)
+        real_init(self, f)
+
+    monkeypatch.setattr(memo, "_symbolic", {})
+    monkeypatch.setattr(memo, "_point", {})
+    monkeypatch.setattr(memo, "_point_key", ())
+    monkeypatch.setattr(Scalar, "__init__", init)
+    for bindings in (None, {"u": Fraction(2), "s": Fraction(3)}):
+        for name in _SUITES:
+            assert run_suite(name, bindings, False).ok, name
+        table = builtin("xspace", bindings).table
+        for n in range(4):
+            for word in itertools.product(range(len(table)), repeat=n):
+                for i in (1, 2, 3):
+                    apply_derivative(i, NCPoly.word(table, word), bindings)
+    assert len(stored) > 10000
+    assert wide == []
