@@ -209,10 +209,6 @@ class NCPoly:
         w = max(self.terms, key=ord.key)
         return w, self.terms[w]
 
-    def monic(self, ord: MonomialOrder) -> "NCPoly":
-        _, c = self.leading_term(ord)
-        return self.scale(sc.ONE / c)
-
     def substitute_scalars(self, bindings) -> "NCPoly":
         return NCPoly(
             self.table, {w: c.substitute(bindings) for w, c in self.terms.items()}

@@ -13,6 +13,7 @@ from .freealg import GenTable, NCPoly
 from .memo import specialised
 from .presentations import builtin
 from .report import CheckItem, CheckReport
+from .rewrite import eliminate_rows
 from .scalar import Scalar
 
 
@@ -23,10 +24,6 @@ class LinalgError(Exception):
 def pair_to_lin(i: int, j: int) -> int:
     """(i, j) with i, j in 1..3 to 0-based linear index."""
     return 3 * (i - 1) + (j - 1)
-
-
-def lin_to_pair(a: int) -> Tuple[int, int]:
-    return a // 3 + 1, a % 3 + 1
 
 
 class ScalarMatrix:
@@ -231,31 +228,10 @@ def involution_check(R: ScalarMatrix) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def rref(M: ScalarMatrix) -> Tuple[ScalarMatrix, List[int]]:
-    """Reduced row echelon form and its pivots, eliminating on sparse rows
-    {column: nonzero entry}; each column's pivot row is the candidate of
-    least term count, the first on ties.  Every rank goes through here."""
+    """Reduced row echelon form and its pivots, by `eliminate_rows` on the
+    rows' nonzero entries.  Every rank goes through here."""
     m = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M.entries]
-    pivots = []
-    for c in range(M.cols):
-        r = len(pivots)
-        candidates = [i for i in range(r, M.rows) if c in m[i]]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: m[i][c].term_count())
-        m[r], m[best] = m[best], m[r]
-        inv = sc.ONE / m[r][c]
-        pivot = m[r] = {j: e * inv for j, e in m[r].items()}
-        for row in m:
-            f = row.get(c)
-            if f is None or row is pivot:
-                continue
-            for j, b in pivot.items():
-                e = row.get(j, sc.ZERO) - f * b
-                if e.is_zero():
-                    del row[j]
-                else:
-                    row[j] = e
-        pivots.append(c)
+    pivots = eliminate_rows(m, range(M.cols))
     dense = [[row.get(j, sc.ZERO) for j in range(M.cols)] for row in m]
     return ScalarMatrix(dense), pivots
 

@@ -122,19 +122,13 @@ def _rtt_identities(R: ScalarMatrix, M: QuantumMatrix):
         yield (j, i, m, n), rel
 
 
-def rtt_relations(
-    R: Optional[ScalarMatrix] = None, ngen: int = 9, bindings=None
-) -> Presentation:
+def rtt_relations(ngen: int = 9, bindings=None) -> Presentation:
     """All 81 instances of the defining identity
-    R^{ji}_{kl} T^k_m T^l_n = T^j_l T^i_k R^{lk}_{mn},
-    Gaussian-eliminated to an independent list.  ngen selects the full
-    9-generator matrix or the 7-generator shape with the lower-left corner
-    zeroed."""
-    builtin_R = R is None
-    if builtin_R:
-        R = rhat_builtin(bindings)
-    elif bindings:
-        R = R.substitute(bindings)
+    R^{ji}_{kl} T^k_m T^l_n = T^j_l T^i_k R^{lk}_{mn} of the built-in
+    matrix, Gaussian-eliminated to an independent list.  ngen selects the
+    full 9-generator matrix or the 7-generator shape with the lower-left
+    corner zeroed."""
+    R = rhat_builtin(bindings)
     if ngen == 9:
         table = GenTable(t_GENS)
         degree = {table.gen(n): d for n, d in t_DEGREES.items()}
@@ -159,8 +153,6 @@ def rtt_relations(
     rows = interreduce_relations(raw, order)
     params = frozenset().union(*[c.params_used() for r in rows for c in r.terms.values()]) \
         if rows else frozenset()
-    if not builtin_R:
-        degree = None  # a user-supplied matrix need not respect the grading
     return Presentation(
         name=name,
         table=table,
@@ -295,22 +287,19 @@ _ADJ9_TEXTS = [
 ]
 
 _ADJ_TEXTS = {"H8": _ADJ7_TEXTS, "H10": _ADJ9_TEXTS}
+_DET_TEXTS = {"H8": _D7_TEXT, "H10": _d9_TEXT}
 
 
 def determinant(which: str, bindings=None) -> NCPoly:
-    """The quantum determinant, transcribed (D7 as the two-term product
-    form expanded, d9 as the printed six-term sum).  Memoised like
-    `builtin`."""
-    if which == "D7":
-        group, text = "H8", _D7_TEXT
-    elif which == "d9":
-        group, text = "H10", _d9_TEXT
-    else:
-        raise QuantumGroupError(f"unknown determinant {which!r}; expected D7 or d9")
+    """The quantum determinant of H8 or H10, transcribed (D7 as the
+    two-term product form expanded, d9 as the printed six-term sum).
+    Memoised like `builtin`."""
+    if which not in _DET_TEXTS:
+        raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
     return specialised(
         ("det", which),
         bindings,
-        lambda: NCPoly.parse(group_presentation(group).table, text),
+        lambda: NCPoly.parse(group_presentation(which).table, _DET_TEXTS[which]),
         NCPoly.substitute_scalars,
     )
 
@@ -331,9 +320,8 @@ def adjugate(which: str, bindings=None) -> QuantumMatrix:
 
 
 #: the extended presentation (matrix generators plus the determinant
-#: inverse) and the determinant of each algebra
+#: inverse) of each algebra
 _EXT = {"H8": "TDinv", "H10": "tdinv"}
-_DET = {"H8": "D7", "H10": "d9"}
 
 
 def extended_system(which: str, bindings=None) -> RewriteSystem:
@@ -355,7 +343,7 @@ def inverse_check(which: str, bindings=None) -> CheckReport:
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
     A = adjugate(which, bindings)
-    det = determinant(_DET[which], bindings)
+    det = determinant(which, bindings)
     MA = generator_matrix(pres).mul(A)
     adj_ok = all(
         system.normal_form(MA[i, j] - det if i == j else MA[i, j]).is_zero()
@@ -406,7 +394,7 @@ def det_commutation_derive(which: str, bindings=None) -> CheckReport:
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
     ext = builtin(_EXT[which], bindings)
-    det = determinant(_DET[which], bindings)
+    det = determinant(which, bindings)
     table_factors = _dinv_table_factors(ext)
     items = []
     noncentral = False
@@ -518,7 +506,7 @@ def hopf_data(which: str, bindings=None) -> HopfData:
             counit_images.append(NCPoly.one(_GROUND))
             # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
             antipode_images.append(
-                determinant(_DET[which], bindings).relabel(ext.table, to_ext)
+                determinant(which, bindings).relabel(ext.table, to_ext)
             )
         else:
             i, j = position[g]

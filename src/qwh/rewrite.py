@@ -4,7 +4,7 @@ enumeration, diamond-lemma confluence checks, bounded completion."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from . import scalar as sc
 from .freealg import AlgebraError, GenTable, MonomialOrder, NCPoly, Word
@@ -112,39 +112,48 @@ class RewriteSystem:
 # building systems from relation lists
 # ---------------------------------------------------------------------------
 
+def eliminate_rows(
+    rows: List[Dict[Hashable, sc.Scalar]], columns: Iterable[Hashable]
+) -> List[Hashable]:
+    """Reduced row echelon form of sparse rows {column: nonzero entry}, in
+    place, and its pivot columns.  Pivots go in the order of `columns`; each
+    column's pivot row is the candidate of least term count, the first on
+    ties.  The pivot rows end up first, monic and in pivot order, and the
+    rows after them empty."""
+    pivots = []
+    for c in columns:
+        r = len(pivots)
+        candidates = [i for i in range(r, len(rows)) if c in rows[i]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: rows[i][c].term_count())
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = sc.ONE / rows[r][c]
+        pivot = rows[r] = {j: e * inv for j, e in rows[r].items()}
+        for row in rows:
+            f = row.get(c)
+            if f is None or row is pivot:
+                continue
+            for j, b in pivot.items():
+                e = row.get(j, sc.ZERO) - f * b
+                if e.is_zero():
+                    del row[j]
+                else:
+                    row[j] = e
+        pivots.append(c)
+    return pivots
+
+
 def interreduce_relations(
     relations: List[NCPoly], order: MonomialOrder
 ) -> List[NCPoly]:
-    """Gaussian elimination on the Scalar-linear span of the relations.
-
-    Returns monic polynomials with pairwise distinct leading words; any
-    word that is some pivot's leading word occurs in no other row.
-    """
-    pivots: Dict[Word, NCPoly] = {}
-
-    def reduce_row(p: NCPoly) -> NCPoly:
-        changed = True
-        while changed:
-            changed = False
-            for w in list(p.terms):
-                piv = pivots.get(w)
-                if piv is not None:
-                    p = p - piv.scale(p.terms[w])
-                    changed = True
-        return p
-
-    for rel in relations:
-        p = reduce_row(rel)
-        if p.is_zero():
-            continue
-        lw, lc = p.leading_term(order)
-        p = p.scale(sc.ONE / lc)
-        # eliminate the new pivot word from existing rows
-        for w, piv in list(pivots.items()):
-            if lw in piv.terms:
-                pivots[w] = piv - p.scale(piv.terms[lw])
-        pivots[lw] = p
-    return [pivots[w] for w in sorted(pivots, key=order.key, reverse=True)]
+    """Reduced echelon form of the Scalar-linear span of the relations, the
+    words in descending monomial order as columns: monic polynomials by
+    descending leading word, no leading word occurring in another row."""
+    rows = [dict(p.terms) for p in relations]
+    words = sorted({w for p in relations for w in p.terms}, key=order.key, reverse=True)
+    rank = len(eliminate_rows(rows, words))
+    return [NCPoly(relations[0].table, row) for row in rows[:rank]]
 
 
 def build_rules(
@@ -152,7 +161,11 @@ def build_rules(
     order: MonomialOrder,
     table: Optional[GenTable] = None,
 ) -> RewriteSystem:
-    """Orient a relation span into a rewrite system with inter-reduced rhs."""
+    """Orient a relation span into a rewrite system with normal rhs.
+
+    Each rhs is reduced once, in the system before any rhs is: whether a
+    word is normal depends only on the left-hand sides, which that pass
+    keeps."""
     if table is None:
         if not relations:
             raise RewriteError("need a table for an empty relation list")
@@ -160,36 +173,16 @@ def build_rules(
     for r in relations:
         if r.table != table:
             raise AlgebraError("mismatched generator tables")
-    rows = interreduce_relations([r for r in relations if not r.is_zero()], order)
-    for p in rows:
+    rules = []
+    for p in interreduce_relations([r for r in relations if not r.is_zero()], order):
         lw, _ = p.leading_term(order)
         if lw == ():
             raise RewriteError("inconsistent presentation: ideal contains the unit")
-    rules = []
-    for p in rows:
-        lw, _ = p.leading_term(order)
-        rhs = NCPoly.word(table, lw) - p
-        rules.append(RewriteRule(lw, rhs))
-    sys = RewriteSystem(table, order, rules)
-    return _interreduce_rhs(sys)
-
-
-def _interreduce_rhs(sys: RewriteSystem) -> RewriteSystem:
-    """Normalize every rhs against the full system until stable."""
-    rules = list(sys.rules)
-    for _ in range(100):
-        cur = RewriteSystem(sys.table, sys.order, rules)
-        new_rules = []
-        changed = False
-        for r in rules:
-            nf = cur.normal_form(r.rhs)
-            if nf.terms != r.rhs.terms:
-                changed = True
-            new_rules.append(RewriteRule(r.lhs, nf))
-        rules = new_rules
-        if not changed:
-            return RewriteSystem(sys.table, sys.order, rules)
-    raise RewriteError("rhs inter-reduction did not stabilize")
+        rules.append(RewriteRule(lw, NCPoly.word(table, lw) - p))
+    unreduced = RewriteSystem(table, order, rules)
+    return RewriteSystem(
+        table, order, [RewriteRule(r.lhs, unreduced.normal_form(r.rhs)) for r in rules]
+    )
 
 
 # ---------------------------------------------------------------------------

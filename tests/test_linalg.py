@@ -16,7 +16,6 @@ from qwh.linalg import (
     generic_q_not_eigenspace,
     involution_check,
     kernel_basis,
-    lin_to_pair,
     pair_to_lin,
     rank,
     rhat_builtin,
@@ -28,13 +27,12 @@ from qwh.linalg import (
 from qwh.scalar import Scalar
 
 
-def test_pair_index_round_trip():
+def test_pair_index_is_a_bijection_onto_0_to_8():
     seen = set()
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             a = pair_to_lin(i, j)
             assert 0 <= a < 9
-            assert lin_to_pair(a) == (i, j)
             seen.add(a)
     assert len(seen) == 9
 

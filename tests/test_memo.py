@@ -49,7 +49,7 @@ def _artifacts(bindings):
         "rhat": rhat_builtin(bindings),
         "T-constraints": transcribed_T_constraints(bindings),
         **{f"builtin-{name}": builtin(name, bindings) for name in BUILTIN_NAMES},
-        **{f"det-{w}": determinant(w, bindings) for w in ("D7", "d9")},
+        **{f"det-{w}": determinant(w, bindings) for w in ("H8", "H10")},
         **{f"adjugate-{w}": adjugate(w, bindings) for w in ("H8", "H10")},
     }
 

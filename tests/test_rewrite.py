@@ -1,12 +1,15 @@
 """Rewriting: normal forms, confluence via the diamond lemma, completion."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwh import memo, quantumgroup, rewrite
 from qwh import scalar as sc
+from qwh.cli import _SUITES, run_suite
 from qwh.freealg import GenTable, MonomialOrder, NCPoly
 from qwh.diffcalc import wz_system
 from qwh.presentations import builtin
@@ -235,3 +238,154 @@ def test_find_redex_prefers_the_longest_then_the_first_rule(name, data):
     )
     w = data.draw(st.lists(letters, max_size=8).map(tuple))
     assert system.find_redex(w) == _scanned_redex(system, w)
+
+
+# -- the shared elimination against the row-by-row paths it replaced -------
+
+def reference_interreduce(relations, order):
+    """The row-by-row reference: reduce each relation by the pivots so far
+    until no pivot word is left in it, make it monic, and clear its leading
+    word from the earlier pivots."""
+    pivots = {}
+
+    def reduce_row(p):
+        changed = True
+        while changed:
+            changed = False
+            for w in list(p.terms):
+                piv = pivots.get(w)
+                if piv is not None:
+                    p = p - piv.scale(p.terms[w])
+                    changed = True
+        return p
+
+    for rel in relations:
+        p = reduce_row(rel)
+        if p.is_zero():
+            continue
+        lw, lc = p.leading_term(order)
+        p = p.scale(sc.ONE / lc)
+        for w, piv in list(pivots.items()):
+            if lw in piv.terms:
+                pivots[w] = piv - p.scale(piv.terms[lw])
+        pivots[lw] = p
+    return [pivots[w] for w in sorted(pivots, key=order.key, reverse=True)]
+
+
+def reference_build_rules(relations, order, table):
+    """The reference orientation: reference rows, then every rhs normalised
+    in the current system, round after round, until no rhs changes."""
+    rows = reference_interreduce([r for r in relations if not r.is_zero()], order)
+    rules = []
+    for p in rows:
+        lw, _ = p.leading_term(order)
+        rules.append(RewriteRule(lw, NCPoly.word(table, lw) - p))
+    for _ in range(100):
+        cur = RewriteSystem(table, order, rules)
+        new_rules = [RewriteRule(r.lhs, cur.normal_form(r.rhs)) for r in rules]
+        if all(a.rhs.terms == b.rhs.terms for a, b in zip(rules, new_rules)):
+            return RewriteSystem(table, order, new_rules)
+        rules = new_rules
+    raise AssertionError("rhs inter-reduction did not stabilize")
+
+
+def _assert_same_system(got, want):
+    assert [r.lhs for r in got.rules] == [r.lhs for r in want.rules]
+    assert [r.rhs for r in got.rules] == [r.rhs for r in want.rules]
+
+
+@pytest.mark.parametrize(
+    "bindings", [None, {"u": Fraction(2), "s": Fraction(3)}], ids=["symbolic", "u=2,s=3"]
+)
+def test_elimination_matches_the_row_by_row_paths_on_every_suite_input(
+    bindings, monkeypatch
+):
+    """Every relation list interreduced, and every system built, while the
+    18 suites and the generic-q variants run.  The memo starts empty, so
+    every system is built under the capture."""
+    interreduced, built = [], []
+    real_interreduce, real_build = rewrite.interreduce_relations, rewrite.build_rules
+
+    def interreduce(relations, order):
+        out = real_interreduce(relations, order)
+        interreduced.append((list(relations), order, out))
+        return out
+
+    def build(relations, order, table=None):
+        out = real_build(relations, order, table)
+        built.append((list(relations), order, out))
+        return out
+
+    monkeypatch.setattr(memo, "_symbolic", {})
+    monkeypatch.setattr(memo, "_point", {})
+    monkeypatch.setattr(memo, "_point_key", ())
+    for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
+        if getattr(module, "interreduce_relations", None) is real_interreduce:
+            monkeypatch.setattr(module, "interreduce_relations", interreduce)
+        if getattr(module, "build_rules", None) is real_build:
+            monkeypatch.setattr(module, "build_rules", build)
+    assert quantumgroup.interreduce_relations is interreduce
+    for name, (_, supports_gq) in _SUITES.items():
+        for generic_q in (False, True) if supports_gq else (False,):
+            run_suite(name, bindings, generic_q)
+    assert len(interreduced) > len(built) > 10
+    for relations, order, out in interreduced:
+        assert out == reference_interreduce(relations, order)
+    for relations, order, system in built:
+        _assert_same_system(
+            system, reference_build_rules(relations, order, system.table)
+        )
+
+
+ABC = GenTable(["a", "b", "c"])
+ABC_ORDER = MonomialOrder.default(ABC)
+abc_words = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
+abc_coeffs = st.one_of(
+    coeffs,
+    st.tuples(coeffs, st.integers(-2, 2)).map(lambda t: t[0] * sc.U ** t[1] + sc.S),
+)
+
+
+@st.composite
+def relation_lists(draw):
+    """Relations over words of lengths 1 to 3, with a zero row and a
+    combination of two others among them."""
+    rels = [
+        NCPoly(ABC, draw(st.dictionaries(abc_words, abc_coeffs, min_size=1, max_size=4)))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    i, j = draw(st.integers(0, len(rels) - 1)), draw(st.integers(0, len(rels) - 1))
+    a, b = draw(abc_coeffs), draw(abc_coeffs)
+    rels.append(rels[i].scale(a) + rels[j].scale(b))
+    rels.append(NCPoly.zero(ABC))
+    return draw(st.permutations(rels))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_lists(), st.randoms(use_true_random=False))
+def test_interreduced_rows_are_canonical(relations, random):
+    """The reduced echelon form of a span does not depend on the order of
+    its spanning list, and the row-by-row reference finds the same rows."""
+    rows = interreduce_relations(relations, ABC_ORDER)
+    shuffled = list(relations)
+    random.shuffle(shuffled)
+    assert interreduce_relations(shuffled, ABC_ORDER) == rows
+    assert reference_interreduce(relations, ABC_ORDER) == rows
+    leading = [p.leading_term(ABC_ORDER) for p in rows]
+    assert [w for w, _ in leading] == sorted(
+        (w for w, _ in leading), key=ABC_ORDER.key, reverse=True
+    )
+    for (w, c), p in zip(leading, rows):
+        assert c.is_one()
+        assert all(w not in q.terms for q in rows if q is not p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_lists())
+def test_one_rhs_pass_matches_the_rounds_until_stable(relations):
+    """Left-hand sides of mixed lengths, so that an rhs can hold a word with
+    another rule's lhs inside it."""
+    _assert_same_system(
+        build_rules(relations, ABC_ORDER, ABC),
+        reference_build_rules(relations, ABC_ORDER, ABC),
+    )
