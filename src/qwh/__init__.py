@@ -29,12 +29,13 @@ from .diffcalc import (
 from .exprparse import ParseError, SourceSpan, parse_poly_text, parse_scalar_text
 from .freealg import GenTable, MonomialOrder, NCPoly
 from .linalg import (
-    ScalarMatrix,
+    Matrix,
     eigensplit,
     eigenspace_identification,
     generic_q_not_eigenspace,
     involution_check,
     kernel_basis,
+    kron,
     pair_to_lin,
     rank,
     rhat_builtin,
@@ -53,7 +54,6 @@ from .presentations import (
 )
 from .quantumgroup import (
     HopfData,
-    QuantumMatrix,
     adjugate,
     det_commutation_derive,
     determinant,

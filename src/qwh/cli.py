@@ -245,6 +245,8 @@ def normalize(algebra, expr, params):
         bindings = _parse_params(params)
         pres = _load_presentation(algebra, bindings)
         poly = parse_poly_text(expr, pres.table)
+        if bindings:
+            poly = poly.substitute_scalars(bindings)
         system = pres.rewrite_system()
     except _INPUT_ERRORS as exc:
         _fail(exc)
@@ -261,6 +263,8 @@ def derivative(index, expr, params):
         bindings = _parse_params(params) or None
         xspace = builtin("xspace", bindings)
         poly = parse_poly_text(expr, xspace.table)
+        if bindings:
+            poly = poly.substitute_scalars(bindings)
         if index not in (1, 2, 3):
             raise CLIError(f"derivative index must be 1..3, got {index}")
         out = apply_derivative(index, poly, bindings=bindings)

@@ -148,7 +148,6 @@ ANSATZ_UNKNOWNS = ("k", "lam12", "mu12", "c21", "lam", "mu")
 class ConstraintSystem:
     """Solved form of the invariance conditions on an ansatz.
 
-    ``equations`` keeps the raw (label, value) pairs before elimination;
     ``solved`` maps unknown -> pinned Scalar value; anything that would not
     eliminate stays in ``residual``.  ``witnesses`` lists coefficients that
     reduced to a nonzero constant: a nonempty list means no choice of the
@@ -156,7 +155,6 @@ class ConstraintSystem:
     """
 
     ansatz: str
-    equations: List[Tuple[str, Scalar]] = field(default_factory=list)
     solved: Dict[str, Scalar] = field(default_factory=dict)
     residual: List[Tuple[str, Scalar]] = field(default_factory=list)
     witnesses: List[str] = field(default_factory=list)
@@ -265,12 +263,10 @@ def ansatz_solve(
     seven-generator group); pass them specialised to solve at a point."""
     if group is None:
         group = builtin("TT7")
-    equations = ansatz_bucket_equations(ansatz, group)
-    solved, residual, witnesses = _eliminate(equations)
+    solved, residual, witnesses = _eliminate(ansatz_bucket_equations(ansatz, group))
     ordered = {n: solved[n] for n in ANSATZ_UNKNOWNS if n in solved}
     return ConstraintSystem(
         ansatz=ansatz.name,
-        equations=equations,
         solved=ordered,
         residual=residual,
         witnesses=witnesses,

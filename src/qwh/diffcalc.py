@@ -14,7 +14,7 @@ import random
 from typing import List
 
 from .freealg import GenTable, MonomialOrder, NCPoly
-from .linalg import involution_check, pair_to_lin, rhat_builtin
+from .linalg import Matrix, involution_check, kron, rhat_builtin
 from .memo import memoised
 from .presentations import Presentation, builtin
 from .report import CheckItem, CheckReport
@@ -43,7 +43,9 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         x^k xi^l = R^{kl}_{mn} xi^m x^n
         d_k xi^l = R^{lm}_{kn} xi^n d_m      (the matrix is its own inverse)
         d_l x^k  = delta^k_l + R^{km}_{ln} x^n d_m
-    oriented so one-forms sort left, derivatives right."""
+    oriented so one-forms sort left, derivatives right; as products on
+    generator columns, x (x) xi = R (xi (x) x), d (x) xi = Q (xi (x) d) and
+    d (x) x = delta + Q (x (x) d)."""
     R = rhat_builtin(bindings)
     if not involution_check(R).ok:
         raise DiffCalcError(
@@ -51,9 +53,6 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         )
     table = GenTable(_D_GENS + _X_GENS + _XI_GENS)
     order = MonomialOrder.default(table)
-
-    def gen(name: str) -> NCPoly:
-        return NCPoly.word(table, (table.gen(name),))
 
     rels: List[NCPoly] = []
     for space in (
@@ -63,34 +62,26 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         to_wz = space.table.gid_map(table)
         rels += [r.relabel(table, to_wz) for r in space.relations]
 
-    for k in (1, 2, 3):
-        for l in (1, 2, 3):
-            # x^k xi^l - R^{kl}_{mn} xi^m x^n
-            rel = gen(f"x{k}") * gen(f"xi{l}")
-            for m in (1, 2, 3):
-                for n in (1, 2, 3):
-                    c = R[pair_to_lin(k, l), pair_to_lin(m, n)]
-                    if not c.is_zero():
-                        rel = rel - (gen(f"xi{m}") * gen(f"x{n}")).scale(c)
-            rels.append(rel)
-            # d_k xi^l - R^{lm}_{kn} xi^n d_m
-            rel = gen(f"d{k}") * gen(f"xi{l}")
-            for m in (1, 2, 3):
-                for n in (1, 2, 3):
-                    c = R[pair_to_lin(l, m), pair_to_lin(k, n)]
-                    if not c.is_zero():
-                        rel = rel - (gen(f"xi{n}") * gen(f"d{m}")).scale(c)
-            rels.append(rel)
-            # d_l x^k - delta^k_l - R^{km}_{ln} x^n d_m
-            rel = gen(f"d{l}") * gen(f"x{k}")
-            if k == l:
-                rel = rel - NCPoly.one(table)
-            for m in (1, 2, 3):
-                for n in (1, 2, 3):
-                    c = R[pair_to_lin(k, m), pair_to_lin(l, n)]
-                    if not c.is_zero():
-                        rel = rel - (gen(f"x{n}") * gen(f"d{m}")).scale(c)
-            rels.append(rel)
+    # the generator columns, R on constant polynomials, and
+    # Q[(k, l), (n, m)] = R[(l, m), (k, n)], all in pair-index order
+    zero, one = NCPoly.zero(table), NCPoly.one(table)
+    x, xi, der = (
+        Matrix([[NCPoly.generator(table, table.gen(n))] for n in names], zero)
+        for names in (_X_GENS, _XI_GENS, _D_GENS)
+    )
+    R = R.map(lambda c: NCPoly.constant(table, c), zero)
+    three = range(3)
+    Q = Matrix(
+        [[R[3 * l + m, 3 * k + n] for n in three for m in three] for k in three for l in three],
+        zero,
+    )
+    delta = Matrix([[one if k == l else zero] for k in three for l in three], zero)
+    x_xi = kron(x, xi) - R * kron(xi, x)
+    d_xi = kron(der, xi) - Q * kron(xi, der)
+    d_x = kron(der, x) - delta - Q * kron(x, der)
+    for k in three:
+        for l in three:
+            rels += [x_xi[3 * k + l, 0], d_xi[3 * k + l, 0], d_x[3 * l + k, 0]]
 
     params = frozenset().union(
         *[c.params_used() for r in rels for c in r.terms.values()]

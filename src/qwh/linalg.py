@@ -1,4 +1,5 @@
-"""Exact matrices over the Scalar field and the 9x9 deformation matrix.
+"""Exact matrices over the Scalar field or a free algebra, and the 9x9
+deformation matrix.
 
 Pair indices (i, j), i, j in {1,2,3}, are linearized row-major:
 (1,1),(1,2),(1,3),(2,1),(2,2),(2,3),(3,1),(3,2),(3,3).
@@ -26,9 +27,14 @@ def pair_to_lin(i: int, j: int) -> int:
     return 3 * (i - 1) + (j - 1)
 
 
-class ScalarMatrix:
-    def __init__(self, entries: List[List[Scalar]]):
+class Matrix:
+    """Matrix indexed [row, col] from 0, its entries in one ring: Scalars,
+    or NCPolys over one table.  `zero` is that ring's zero.  The product
+    keeps the left-to-right factor order of noncommuting entries."""
+
+    def __init__(self, entries: List[list], zero=sc.ZERO):
         self.entries = entries
+        self.zero = zero
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
         for row in entries:
@@ -36,32 +42,31 @@ class ScalarMatrix:
                 raise LinalgError("ragged matrix")
 
     @staticmethod
-    def zero(rows, cols) -> "ScalarMatrix":
-        return ScalarMatrix([[sc.ZERO] * cols for _ in range(rows)])
+    def identity(n) -> "Matrix":
+        m = [[sc.ONE if i == j else sc.ZERO for j in range(n)] for i in range(n)]
+        return Matrix(m)
 
     @staticmethod
-    def identity(n) -> "ScalarMatrix":
-        m = [[sc.ONE if i == j else sc.ZERO for j in range(n)] for i in range(n)]
-        return ScalarMatrix(m)
+    def of_grid(table: GenTable, grid) -> "Matrix":
+        """Generator words from a grid of ids (None = entry forced to zero)."""
+        zero = NCPoly.zero(table)
+        return Matrix(
+            [[zero if g is None else NCPoly.generator(table, g) for g in row] for row in grid],
+            zero,
+        )
 
     def __getitem__(self, rc):
         r, c = rc
         return self.entries[r][c]
 
     def __eq__(self, other):
-        if not isinstance(other, ScalarMatrix):
+        if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
+        return (self.rows, self.cols) == (other.rows, other.cols) and all(
+            a == b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
         )
 
-    def __mul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
+    def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise LinalgError(f"dimension mismatch {self.cols} vs {other.rows}")
         # each right-hand row's nonzero (column, value) pairs; sums run up k
@@ -71,73 +76,83 @@ class ScalarMatrix:
         ]
         out = []
         for row in self.entries:
-            acc = [sc.ZERO] * other.cols
+            acc = [self.zero] * other.cols
             for a, pairs in zip(row, sparse):
                 if not a.is_zero():
                     for j, b in pairs:
                         acc[j] = acc[j] + a * b
             out.append(acc)
-        return ScalarMatrix(out)
+        return Matrix(out, self.zero)
 
-    def __sub__(self, other):
+    def _check_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("dimension mismatch")
-        return ScalarMatrix(
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return Matrix(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+            self.zero,
         )
 
     def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise LinalgError("dimension mismatch")
-        return ScalarMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
+        self._check_shape(other)
+        return Matrix(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
+            self.zero,
         )
 
-    def scale(self, c: Scalar) -> "ScalarMatrix":
-        return ScalarMatrix(
-            [[e * c for e in row] for row in self.entries]
+    def map(self, fn, zero=None) -> "Matrix":
+        """fn applied to every entry; `zero` is the zero of fn's ring, by
+        default this matrix's."""
+        return Matrix(
+            [[fn(e) for e in row] for row in self.entries],
+            self.zero if zero is None else zero,
         )
 
-    def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+    def transpose(self) -> "Matrix":
+        return Matrix([list(col) for col in zip(*self.entries)], self.zero)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def substitute(self, bindings) -> "ScalarMatrix":
-        return ScalarMatrix(
-            [[e.substitute(bindings) for e in row] for row in self.entries]
-        )
+    def columns(self) -> List[list]:
+        return [list(col) for col in zip(*self.entries)]
 
-    def columns(self) -> List[List[Scalar]]:
-        return [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """The Kronecker product: entry (i * b.rows + k, j * b.cols + l) is
+    a[i, j] * b[k, l], with a's entry on the left."""
+    out = [[a.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    nonzero = [
+        (k, l, y) for k, row in enumerate(b.entries) for l, y in enumerate(row)
+        if not y.is_zero()
+    ]
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            if not x.is_zero():
+                for k, l, y in nonzero:
+                    out[i * b.rows + k][j * b.cols + l] = x * y
+    return Matrix(out, a.zero)
 
 
 # ---------------------------------------------------------------------------
 # the built-in 9x9 matrix
 # ---------------------------------------------------------------------------
 
-def rhat_builtin(bindings=None) -> ScalarMatrix:
+def rhat_builtin(bindings=None) -> Matrix:
     """Exact transcription of the 9x9 deformation matrix (rows/cols in
     pair-index order), specialised at bindings if given.  Memoised through
     `qwh.memo`, so callers must not mutate the result."""
     return specialised(
-        "rhat", bindings, _transcribed_rhat, ScalarMatrix.substitute
+        "rhat", bindings, _transcribed_rhat,
+        lambda R, b: R.map(lambda e: e.substitute(b)),
     )
 
 
-def _transcribed_rhat() -> ScalarMatrix:
+def _transcribed_rhat() -> Matrix:
     u, s = sc.U, sc.S
-    m = ScalarMatrix.zero(9, 9)
-    e = m.entries
+    e = [[sc.ZERO] * 9 for _ in range(9)]
 
     def put(rp, cp, val):
         e[pair_to_lin(*rp)][pair_to_lin(*cp)] = val
@@ -153,31 +168,18 @@ def _transcribed_rhat() -> ScalarMatrix:
     put((3, 1), (1, 3), u ** -1)
     put((3, 2), (2, 3), u)
     put((3, 3), (3, 3), sc.ONE)
-    return m
+    return Matrix(e)
 
 
-def _triple_ops(R: ScalarMatrix) -> Tuple[ScalarMatrix, ScalarMatrix]:
+def _triple_ops(R: Matrix) -> Tuple[Matrix, Matrix]:
     """(R (x) 1, 1 (x) R) as 27x27 matrices on V (x) V (x) V with dim V = 3."""
     if (R.rows, R.cols) != (9, 9):
         raise LinalgError("expected a 9x9 matrix")
-    R1 = ScalarMatrix.zero(27, 27)
-    R2 = ScalarMatrix.zero(27, 27)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                row = 9 * i + 3 * j + k
-                for l in range(3):
-                    for m_ in range(3):
-                        for n in range(3):
-                            col = 9 * l + 3 * m_ + n
-                            if k == n:
-                                R1.entries[row][col] = R.entries[3 * i + j][3 * l + m_]
-                            if i == l:
-                                R2.entries[row][col] = R.entries[3 * j + k][3 * m_ + n]
-    return R1, R2
+    one = Matrix.identity(3)
+    return kron(R, one), kron(one, R)
 
 
-def ybe_check(R: ScalarMatrix) -> CheckReport:
+def ybe_check(R: Matrix) -> CheckReport:
     """Braid-form Yang-Baxter check: (R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R)."""
     R1, R2 = _triple_ops(R)
     lhs = R1 * R2 * R1
@@ -202,10 +204,10 @@ def ybe_check(R: ScalarMatrix) -> CheckReport:
     return CheckReport.from_items("ybe", items)
 
 
-def involution_check(R: ScalarMatrix) -> CheckReport:
+def involution_check(R: Matrix) -> CheckReport:
     if R.rows != R.cols:
         raise LinalgError("involution check needs a square matrix")
-    diff = R * R - ScalarMatrix.identity(R.rows)
+    diff = R * R - Matrix.identity(R.rows)
     items = []
     if diff.is_zero():
         items.append(CheckItem("R*R = identity", True))
@@ -227,20 +229,20 @@ def involution_check(R: ScalarMatrix) -> CheckReport:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def rref(M: ScalarMatrix) -> Tuple[ScalarMatrix, List[int]]:
+def rref(M: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and its pivots, by `eliminate_rows` on the
     rows' nonzero entries.  Every rank goes through here."""
     m = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M.entries]
     pivots = eliminate_rows(m, range(M.cols))
     dense = [[row.get(j, sc.ZERO) for j in range(M.cols)] for row in m]
-    return ScalarMatrix(dense), pivots
+    return Matrix(dense), pivots
 
 
-def rank(M: ScalarMatrix) -> int:
+def rank(M: Matrix) -> int:
     return len(rref(M)[1])
 
 
-def kernel_basis(M: ScalarMatrix) -> List[List[Scalar]]:
+def kernel_basis(M: Matrix) -> List[List[Scalar]]:
     """Basis of the right null space."""
     R, pivots = rref(M)
     free = [c for c in range(M.cols) if c not in pivots]
@@ -254,7 +256,7 @@ def kernel_basis(M: ScalarMatrix) -> List[List[Scalar]]:
     return basis
 
 
-def column_space_basis(M: ScalarMatrix) -> List[List[Scalar]]:
+def column_space_basis(M: Matrix) -> List[List[Scalar]]:
     _, pivots = rref(M)
     cols = M.columns()
     return [cols[c] for c in pivots]
@@ -262,7 +264,7 @@ def column_space_basis(M: ScalarMatrix) -> List[List[Scalar]]:
 
 def _column_rank(cols: List[List[Scalar]]) -> int:
     """Rank of the matrix whose columns are `cols` (0 with no columns)."""
-    return rank(ScalarMatrix(cols).transpose())
+    return rank(Matrix(cols).transpose())
 
 
 def span_contains(basis: List[List[Scalar]], vecs: List[List[Scalar]]) -> bool:
@@ -295,14 +297,14 @@ def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]
 # eigenstructure
 # ---------------------------------------------------------------------------
 
-def eigensplit(R: ScalarMatrix):
+def eigensplit(R: Matrix):
     """Column bases of the +1 / -1 eigenprojections of an involutive matrix."""
     if not involution_check(R).ok:
         raise LinalgError("eigensplit requires an involutive matrix")
     n = R.rows
     half = sc.ONE / Scalar.from_int(2)
-    p_plus = (ScalarMatrix.identity(n) + R).scale(half)
-    p_minus = (ScalarMatrix.identity(n) - R).scale(half)
+    p_plus = (Matrix.identity(n) + R).map(lambda e: e * half)
+    p_minus = (Matrix.identity(n) - R).map(lambda e: e * half)
     return column_space_basis(p_plus), column_space_basis(p_minus)
 
 

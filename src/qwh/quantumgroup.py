@@ -11,13 +11,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .freealg import GenTable, MonomialOrder, NCPoly
-from .linalg import (
-    ScalarMatrix,
-    pair_to_lin,
-    quadratic_vectors,
-    rhat_builtin,
-    span_equal,
-)
+from .linalg import Matrix, kron, quadratic_vectors, rhat_builtin, span_equal
 from .memo import memoised, specialised
 from .presentations import (
     Presentation,
@@ -51,75 +45,26 @@ t_DEGREES = {
 }
 
 
-@dataclass
-class QuantumMatrix:
-    """3x3 matrix with entries in a shared free algebra; row-by-column
-    product keeps the left-to-right factor order of the noncommuting
-    entries."""
-
-    table: GenTable
-    entries: List[List[NCPoly]]
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r - 1][c - 1]
-
-    @staticmethod
-    def of_grid(table: GenTable, grid) -> "QuantumMatrix":
-        """Generator words from a 3x3 grid of ids (None = entry forced to zero)."""
-        return QuantumMatrix(
-            table,
-            [
-                [NCPoly.zero(table) if g is None else NCPoly.generator(table, g) for g in row]
-                for row in grid
-            ],
-        )
-
-    def relabel(self, dst: GenTable, gid_map: Dict[int, int]) -> "QuantumMatrix":
-        """Every entry relabelled by `NCPoly.relabel`."""
-        return QuantumMatrix(
-            dst, [[e.relabel(dst, gid_map) for e in row] for row in self.entries]
-        )
-
-    def mul(self, other: "QuantumMatrix") -> "QuantumMatrix":
-        def entry(i, j):
-            acc = NCPoly.zero(self.table)
-            for k in range(3):
-                acc = acc + self.entries[i][k] * other.entries[k][j]
-            return acc
-
-        return QuantumMatrix(self.table, [[entry(i, j) for j in range(3)] for i in range(3)])
-
-
-def generator_matrix(pres: Presentation) -> QuantumMatrix:
+def generator_matrix(pres: Presentation) -> Matrix:
     """The defining quantum matrix of a presentation (zero where the shape
     forces an entry to vanish)."""
     if pres.matrix is None:
         raise QuantumGroupError(f"{pres.name} carries no quantum-matrix structure")
-    return QuantumMatrix.of_grid(pres.table, pres.matrix)
-
-
-def matrix_from_texts(table: GenTable, texts: List[List[str]]) -> QuantumMatrix:
-    return QuantumMatrix(table, [[NCPoly.parse(table, t) for t in row] for row in texts])
+    return Matrix.of_grid(pres.table, pres.matrix)
 
 
 # ---------------------------------------------------------------------------
 # RTT relations
 # ---------------------------------------------------------------------------
 
-def _rtt_identities(R: ScalarMatrix, M: QuantumMatrix):
-    """Yield ((j, i, m, n), R^{ji}_{kl} T^k_m T^l_n - T^j_l T^i_k R^{lk}_{mn})
-    for all 81 index choices, in lexicographic order, with T = M."""
-    for j, i, m, n in product((1, 2, 3), repeat=4):
-        rel = NCPoly.zero(M.table)
-        for k, l in product((1, 2, 3), repeat=2):
-            c = R[pair_to_lin(j, i), pair_to_lin(k, l)]
-            if not c.is_zero():
-                rel = rel + (M[k, m] * M[l, n]).scale(c)
-            c = R[pair_to_lin(l, k), pair_to_lin(m, n)]
-            if not c.is_zero():
-                rel = rel - (M[j, l] * M[i, k]).scale(c)
-        yield (j, i, m, n), rel
+def _rtt_identities(R: Matrix, T: Matrix) -> Matrix:
+    """R (T (x) T) - (T (x) T) R, with R lifted to constant polynomials:
+    entry ((j, i), (m, n)), in pair-index order, is the identity
+    R^{ji}_{kl} T^k_m T^l_n - T^j_l T^i_k R^{lk}_{mn}."""
+    table = T.zero.table
+    R = R.map(lambda c: NCPoly.constant(table, c), T.zero)
+    TT = kron(T, T)
+    return R * TT - TT * R
 
 
 def rtt_relations(ngen: int = 9, bindings=None) -> Presentation:
@@ -145,11 +90,8 @@ def rtt_relations(ngen: int = 9, bindings=None) -> Presentation:
     else:
         raise QuantumGroupError(f"ngen must be 7 or 9, got {ngen}")
     order = MonomialOrder.default(table)
-    raw = [
-        rel
-        for _, rel in _rtt_identities(R, QuantumMatrix.of_grid(table, grid))
-        if not rel.is_zero()
-    ]
+    identities = _rtt_identities(R, Matrix.of_grid(table, grid))
+    raw = [rel for row in identities.entries for rel in row if not rel.is_zero()]
     rows = interreduce_relations(raw, order)
     params = frozenset().union(*[c.params_used() for r in rows for c in r.terms.values()]) \
         if rows else frozenset()
@@ -240,19 +182,22 @@ def intertwiner_check(bindings=None) -> CheckReport:
     R = rhat_builtin(bindings)
     group = builtin("TT7", bindings)
     system = group.rewrite_system()
-    worst = {}  # row pair (j, i) -> its first failing instance
-    for (j, i, m, n), rel in _rtt_identities(R, generator_matrix(group)):
-        residual = system.normal_form(rel)
-        if not residual.is_zero() and (j, i) not in worst:
-            worst[j, i] = f"({j}{i}|{m}{n}): {residual.render(group.order)}"
-    items = [
-        CheckItem(
-            f"row pair ({j},{i}): all 9 column instances reduce to 0",
-            (j, i) not in worst,
-            residual=worst.get((j, i)),
+    pairs = list(product((1, 2, 3), repeat=2))  # row and column labels
+    items = []
+    for (j, i), row in zip(pairs, _rtt_identities(R, generator_matrix(group)).entries):
+        worst = None  # the row's first failing instance
+        for (m, n), rel in zip(pairs, row):
+            residual = system.normal_form(rel)
+            if not residual.is_zero():
+                worst = f"({j}{i}|{m}{n}): {residual.render(group.order)}"
+                break
+        items.append(
+            CheckItem(
+                f"row pair ({j},{i}): all 9 column instances reduce to 0",
+                worst is None,
+                residual=worst,
+            )
         )
-        for j, i in product((1, 2, 3), repeat=2)
-    ]
     return CheckReport.from_items("intertwiner", items)
 
 
@@ -304,18 +249,22 @@ def determinant(which: str, bindings=None) -> NCPoly:
     )
 
 
-def adjugate(which: str, bindings=None) -> QuantumMatrix:
+def adjugate(which: str, bindings=None) -> Matrix:
     """The printed inverse matrix without its determinant-inverse factor.
     Memoised like `builtin`."""
     if which not in _ADJ_TEXTS:
         raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
+
+    def make():
+        table = group_presentation(which).table
+        rows = [[NCPoly.parse(table, t) for t in row] for row in _ADJ_TEXTS[which]]
+        return Matrix(rows, NCPoly.zero(table))
+
     return specialised(
         ("adjugate", which),
         bindings,
-        lambda: matrix_from_texts(group_presentation(which).table, _ADJ_TEXTS[which]),
-        lambda qm, b: QuantumMatrix(
-            qm.table, [[e.substitute_scalars(b) for e in row] for row in qm.entries]
-        ),
+        make,
+        lambda A, b: A.map(lambda e: e.substitute_scalars(b)),
     )
 
 
@@ -344,10 +293,10 @@ def inverse_check(which: str, bindings=None) -> CheckReport:
     system = group_system(which, bindings)
     A = adjugate(which, bindings)
     det = determinant(which, bindings)
-    MA = generator_matrix(pres).mul(A)
+    MA = generator_matrix(pres) * A
     adj_ok = all(
         system.normal_form(MA[i, j] - det if i == j else MA[i, j]).is_zero()
-        for i, j in product((1, 2, 3), repeat=2)
+        for i, j in product(range(3), repeat=2)
     )
     # the adjugate is one-sided by construction (the printed inverse puts
     # the determinant inverse on the right); the left inverse only holds
@@ -487,18 +436,22 @@ def hopf_data(which: str, bindings=None) -> HopfData:
     dinv = NCPoly.generator(ext.table, dinv_gid)
     position = {
         g: (i, j)
-        for i, row in enumerate(ext.matrix, start=1)
-        for j, g in enumerate(row, start=1)
+        for i, row in enumerate(ext.matrix)
+        for j, g in enumerate(row)
         if g is not None
     }
     doubled = TensorAlgebra(
         ext, ext, [f"{n}.{side}" for side in "lr" for n in ext.table.names]
     )
     M = generator_matrix(ext)
-    delta = M.relabel(doubled.table, doubled.first).mul(
-        M.relabel(doubled.table, doubled.second)
+
+    def in_copy(ids):  # M in one copy of the doubled algebra
+        return M.map(lambda e: e.relabel(doubled.table, ids), NCPoly.zero(doubled.table))
+
+    delta = in_copy(doubled.first) * in_copy(doubled.second)
+    A = adjugate(which, bindings).map(
+        lambda e: e.relabel(ext.table, to_ext), NCPoly.zero(ext.table)
     )
-    A = adjugate(which, bindings).relabel(ext.table, to_ext)
     coproduct_images, counit_images, antipode_images = [], [], []
     for g in range(len(ext.table)):
         if g == dinv_gid:
@@ -538,21 +491,20 @@ def _all_relations(which: str, bindings=None) -> List[NCPoly]:
 def _inverse_pair(data: HopfData, esys: RewriteSystem) -> Tuple[bool, bool]:
     """Whether T x S(T) = det x det-inverse x identity and S(T) x T =
     det-inverse x det x identity, entrywise in the extended quotient."""
-    table = data.ext.table
     M = generator_matrix(data.ext)
-    SM = QuantumMatrix(table, [[data.antipode(e) for e in row] for row in M.entries])
+    SM = M.map(data.antipode)
     det = data.antipode(data.dinv)  # S(det-inverse) = det
 
-    def is_scalar_matrix(P: QuantumMatrix, unit: NCPoly) -> bool:
-        diagonal, zero = esys.normal_form(unit), NCPoly.zero(table)
+    def is_scalar_matrix(P: Matrix, unit: NCPoly) -> bool:
+        diagonal = esys.normal_form(unit)
         return all(
-            esys.normal_form(P[i, j]) == (diagonal if i == j else zero)
-            for i, j in product((1, 2, 3), repeat=2)
+            esys.normal_form(P[i, j]) == (diagonal if i == j else P.zero)
+            for i, j in product(range(3), repeat=2)
         )
 
     return (
-        is_scalar_matrix(M.mul(SM), det * data.dinv),
-        is_scalar_matrix(SM.mul(M), data.dinv * det),
+        is_scalar_matrix(M * SM, det * data.dinv),
+        is_scalar_matrix(SM * M, data.dinv * det),
     )
 
 

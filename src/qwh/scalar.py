@@ -263,13 +263,16 @@ class Scalar:
         f = self.f
         if type(f) is tuple:
             return Scalar((tuple(e * n for e in f[0]), f[1] ** n))
-        # a power of a many-term numerator or denominator has many terms, so
-        # a FracElement's power needs no demotion
-        if type(f) is Fraction or n > 0:
+        if type(f) is Fraction:
             return Scalar(f ** n)
-        # sympy inverts by swapping numerator and denominator, which can
-        # leave the sign in the denominator; canonical form keeps it on top
-        num, den = f.denom ** -n, f.numer ** -n
+        # a power of a many-term numerator or denominator has many terms, so
+        # a FracElement's power needs no demotion.  sympy squares a
+        # polynomial in place after caching its hash, so the powers are
+        # copied into fresh polynomials, whose hashes are computed anew
+        num, den = (f.numer, f.denom) if n > 0 else (f.denom, f.numer)
+        num, den = _POLY(_RING, num ** abs(n)), _POLY(_RING, den ** abs(n))
+        # inverting swaps numerator and denominator, which can leave the
+        # sign in the denominator; canonical form keeps it on top
         if den.LC < 0:
             num, den = -num, -den
         return Scalar(FIELD.raw_new(num, den))

@@ -239,7 +239,7 @@ def test_criterion_11_specialization_soundness(criterion):
                 break
         s = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
         b = {"u": u, "s": s}
-        R = rhat_builtin().substitute(b)
+        R = rhat_builtin().map(lambda e: e.substitute(b))
         group = builtin("TT7").substitute(b)
         reports = [
             ybe_check(R),

@@ -20,6 +20,7 @@ from qwh.diffcalc import (
 )
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import NCPoly
+from qwh.linalg import pair_to_lin, rhat_builtin
 from qwh.presentations import builtin
 from qwh.rewrite import build_rules
 from qwh.scalar import Scalar
@@ -125,3 +126,50 @@ def test_specialized_calculus_checks():
     b = {"u": Fraction(4, 3), "s": Fraction(5)}
     assert wz_confluence(bindings=b).ok
     assert twisted_leibniz_check(bindings=b).ok
+
+
+def reference_cross_relations(R, table):
+    """The 27 cross relations as the index loops that built them before
+    they were matrix products, in the same order."""
+
+    def gen(name):
+        return NCPoly.word(table, (table.gen(name),))
+
+    rels = []
+    for k in (1, 2, 3):
+        for l in (1, 2, 3):
+            rel = gen(f"x{k}") * gen(f"xi{l}")
+            for m in (1, 2, 3):
+                for n in (1, 2, 3):
+                    c = R[pair_to_lin(k, l), pair_to_lin(m, n)]
+                    if not c.is_zero():
+                        rel = rel - (gen(f"xi{m}") * gen(f"x{n}")).scale(c)
+            rels.append(rel)
+            rel = gen(f"d{k}") * gen(f"xi{l}")
+            for m in (1, 2, 3):
+                for n in (1, 2, 3):
+                    c = R[pair_to_lin(l, m), pair_to_lin(k, n)]
+                    if not c.is_zero():
+                        rel = rel - (gen(f"xi{n}") * gen(f"d{m}")).scale(c)
+            rels.append(rel)
+            rel = gen(f"d{l}") * gen(f"x{k}")
+            if k == l:
+                rel = rel - NCPoly.one(table)
+            for m in (1, 2, 3):
+                for n in (1, 2, 3):
+                    c = R[pair_to_lin(k, m), pair_to_lin(l, n)]
+                    if not c.is_zero():
+                        rel = rel - (gen(f"x{n}") * gen(f"d{m}")).scale(c)
+            rels.append(rel)
+    return rels
+
+
+@pytest.mark.parametrize(
+    "generic_q, bindings",
+    [(False, None), (False, {"u": 2, "s": 3}), (True, None)],
+    ids=["symbolic", "u=2,s=3", "generic-q"],
+)
+def test_cross_relation_products_match_the_index_loops(generic_q, bindings):
+    pres = wz_relations(generic_q=generic_q, bindings=bindings)
+    want = reference_cross_relations(rhat_builtin(bindings), pres.table)
+    assert pres.relations[-27:] == want

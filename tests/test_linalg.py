@@ -1,5 +1,6 @@
 """Exact linear algebra over the scalar field and the deformation matrix."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,13 @@ from qwh import linalg
 from qwh import scalar as sc
 from qwh.cli import _SUITES, run_suite
 from qwh.linalg import (
-    ScalarMatrix,
+    Matrix,
     eigensplit,
     eigenspace_identification,
     generic_q_not_eigenspace,
     involution_check,
     kernel_basis,
+    kron,
     pair_to_lin,
     rank,
     rhat_builtin,
@@ -47,7 +49,7 @@ def test_perturbed_matrix_fails_ybe():
     R = rhat_builtin()
     entries = [[R[i, j] for j in range(9)] for i in range(9)]
     entries[0][1] = entries[0][1] + sc.ONE
-    broken = ScalarMatrix(entries)
+    broken = Matrix(entries)
     assert not ybe_check(broken).ok
 
 
@@ -57,8 +59,8 @@ def test_eigensplit_dimensions_and_projectors():
     assert {len(plus), len(minus)} == {6, 3}
     # each basis vector really is an eigenvector
     for basis, val in ((plus, sc.ONE), (minus, -sc.ONE)):
-        M = ScalarMatrix([[v[i] for v in basis] for i in range(9)])
-        assert (R * M - M.scale(val)).is_zero()
+        M = Matrix([[v[i] for v in basis] for i in range(9)])
+        assert (R * M - M.map(lambda e: e * val)).is_zero()
 
 
 def test_eigenspace_identification_passes():
@@ -76,7 +78,7 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(
 
 @st.composite
 def matrices(draw, rows=3, cols=4):
-    return ScalarMatrix(
+    return Matrix(
         [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -137,7 +139,7 @@ def sparse_factors(draw):
     zero_col = draw(st.integers(0, m - 1))
     for row in b:
         row[zero_col] = sc.ZERO
-    return ScalarMatrix(a), ScalarMatrix(b)
+    return Matrix(a), Matrix(b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +156,7 @@ def test_sparse_product_matches_plain_triple_loop(factors):
             row.append(acc)
         plain.append(row)
     product = A * B
-    assert product == ScalarMatrix(plain)
+    assert product == Matrix(plain)
     assert [[type(x.f) for x in row] for row in product.entries] == [
         [type(x.f) for x in row] for row in plain
     ]
@@ -185,7 +187,7 @@ def dense_rref(M):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-    return ScalarMatrix(m), pivots
+    return Matrix(m), pivots
 
 
 def assert_rref_matches_dense(M):
@@ -230,7 +232,7 @@ def sparse_matrices(draw):
     i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
     a, b = draw(sparse_entries), draw(sparse_entries)
     m.insert(draw(st.integers(0, rows)), [a * x + b * y for x, y in zip(m[i], m[j])])
-    return ScalarMatrix(m)
+    return Matrix(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,9 +258,45 @@ def test_span_equal_detects_difference():
     assert span_equal([e1, e2], [e2, e1])
 
 
+def reference_triple_ops(R):
+    """(R x 1, 1 x R) as the index loop that built them before they were
+    Kronecker products."""
+    R1 = [[sc.ZERO] * 27 for _ in range(27)]
+    R2 = [[sc.ZERO] * 27 for _ in range(27)]
+    for i, j, k, l, m, n in itertools.product(range(3), repeat=6):
+        row, col = 9 * i + 3 * j + k, 9 * l + 3 * m + n
+        if k == n:
+            R1[row][col] = R[3 * i + j, 3 * l + m]
+        if i == l:
+            R2[row][col] = R[3 * j + k, 3 * m + n]
+    return Matrix(R1), Matrix(R2)
+
+
+@pytest.mark.parametrize("bindings", POINTS, ids=["symbolic", "u=2,s=3"])
+def test_triple_ops_match_the_index_loop(bindings):
+    R = rhat_builtin(bindings)
+    assert linalg._triple_ops(R) == reference_triple_ops(R)
+
+
+@st.composite
+def kron_factors(draw):
+    """A, C and B, D with A*C and B*D defined."""
+    p, q, r, s, t, v = (draw(st.integers(1, 3)) for _ in range(6))
+    A, C = draw(matrices(p, q)), draw(matrices(q, r))
+    B, D = draw(matrices(s, t)), draw(matrices(t, v))
+    return A, B, C, D
+
+
+@settings(max_examples=30, deadline=None)
+@given(kron_factors())
+def test_kron_mixed_product(factors):
+    A, B, C, D = factors
+    assert kron(A, B) * kron(C, D) == kron(A * C, B * D)
+
+
 def test_specialized_checks_still_pass():
     b = {"u": Fraction(5, 3), "s": Fraction(7)}
-    R = rhat_builtin().substitute(b)
+    R = rhat_builtin().map(lambda e: e.substitute(b))
     assert ybe_check(R).ok
     assert involution_check(R).ok
     assert eigenspace_identification(bindings=b).ok

@@ -14,7 +14,7 @@ from qwh import rewrite
 from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
 from qwh.freealg import NCPoly
-from qwh.linalg import ScalarMatrix, rhat_builtin
+from qwh.linalg import Matrix, rhat_builtin
 from qwh.memo import bindings_key
 from qwh.presentations import (
     BUILTIN_NAMES,
@@ -24,7 +24,6 @@ from qwh.presentations import (
     transcribed_T_constraints,
 )
 from qwh.quantumgroup import (
-    QuantumMatrix,
     adjugate,
     determinant,
     extended_system,
@@ -126,7 +125,7 @@ def _snapshot(obj):
         return dict(obj.terms)
     if isinstance(obj, list):
         return [_snapshot(x) for x in obj]
-    if isinstance(obj, (ScalarMatrix, QuantumMatrix)):
+    if isinstance(obj, Matrix):
         return [[_snapshot(e) for e in row] for row in obj.entries]
     if hasattr(obj, "relations"):  # a Presentation
         return _snapshot(obj.relations)

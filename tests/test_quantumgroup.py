@@ -1,6 +1,7 @@
 """Quantum matrix groups: RTT relations, determinants, inverses, Hopf axioms."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,14 +9,15 @@ from qwh import quantumgroup
 from qwh import scalar as sc
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import GenTable, NCPoly
-from qwh.linalg import ScalarMatrix
+from qwh.linalg import Matrix, pair_to_lin, rhat_builtin
 from qwh.presentations import builtin
 from qwh.quantumgroup import (
-    QuantumMatrix,
+    _rtt_identities,
     adjugate,
     det_commutation_derive,
     determinant,
     extended_system,
+    generator_matrix,
     group_presentation,
     group_system,
     hopf_check,
@@ -32,7 +34,7 @@ from qwh.rewrite import build_rules, diamond_check
 
 def test_rtt_with_identity_matrix_gives_commutativity(monkeypatch):
     monkeypatch.setattr(
-        quantumgroup, "rhat_builtin", lambda bindings=None: ScalarMatrix.identity(9)
+        quantumgroup, "rhat_builtin", lambda bindings=None: Matrix.identity(9)
     )
     pres = rtt_relations(ngen=9)
     nontrivial = [r for r in pres.relations if not r.is_zero()]
@@ -104,8 +106,8 @@ def test_wrong_adjugate_fails_every_inverse_item_and_only_the_antipode_axiom(
     def corner_doubled(w, bindings=None):
         A = adjugate(w, bindings)  # the memoised matrix, left unmutated
         entries = [list(row) for row in A.entries]
-        entries[0][0] = A[1, 1] + A[1, 1]
-        return QuantumMatrix(A.table, entries)
+        entries[0][0] = A[0, 0] + A[0, 0]
+        return Matrix(entries, A.zero)
 
     monkeypatch.setattr(quantumgroup, "adjugate", corner_doubled)
     assert [i.passed for i in inverse_check(which).items] == [False] * 3
@@ -158,3 +160,45 @@ def test_specialized_group_checks():
     assert rtt7_span_check(bindings=b).ok
     assert inverse_check("H8", bindings=b).ok
     assert hopf_check("H8", bindings=b).ok
+
+
+def test_generator_matrix_is_indexed_from_zero():
+    pres = builtin("TT7")
+    T = generator_matrix(pres)
+    assert T[0, 0] == NCPoly.parse(pres.table, "T11")
+    assert T[1, 2] == NCPoly.parse(pres.table, "T23")
+    assert T[2, 0].is_zero()
+    with pytest.raises(IndexError):
+        T[3, 0]
+
+
+def reference_rtt_identities(R, grid, table):
+    """The RTT identities as the index loop that built them before they
+    were matrix products: (j, i, m, n) in lexicographic order, 1-based."""
+
+    def T(a, b):
+        g = grid[a - 1][b - 1]
+        return NCPoly.zero(table) if g is None else NCPoly.generator(table, g)
+
+    for j, i, m, n in product((1, 2, 3), repeat=4):
+        rel = NCPoly.zero(table)
+        for k, l in product((1, 2, 3), repeat=2):
+            c = R[pair_to_lin(j, i), pair_to_lin(k, l)]
+            if not c.is_zero():
+                rel = rel + (T(k, m) * T(l, n)).scale(c)
+            c = R[pair_to_lin(l, k), pair_to_lin(m, n)]
+            if not c.is_zero():
+                rel = rel - (T(j, l) * T(i, k)).scale(c)
+        yield rel
+
+
+@pytest.mark.parametrize("bindings", [None, {"u": 2, "s": 3}], ids=["symbolic", "u=2,s=3"])
+@pytest.mark.parametrize("ngen", [7, 9])
+def test_rtt_product_matches_the_index_loop(ngen, bindings):
+    pres = rtt_relations(ngen=ngen, bindings=bindings)
+    R = rhat_builtin(bindings)
+    identities = _rtt_identities(R, generator_matrix(pres))
+    assert (identities.rows, identities.cols) == (9, 9)
+    got = [rel for row in identities.entries for rel in row]
+    assert got == list(reference_rtt_identities(R, pres.matrix, pres.table))
+    assert sum(not rel.is_zero() for rel in got) > 20

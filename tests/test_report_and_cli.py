@@ -203,6 +203,16 @@ def test_degenerate_point_messages_are_pinned():
     ]
 
 
+def test_params_specialise_the_expression():
+    res = run(["normalize", "-a", "xspace", "-e", "u*x1", "-p", "u=2"])
+    assert (res.exit_code, res.output) == (0, "2*x1\n")
+    res = run(["d", "-i", "1", "-e", "s*x1*x2", "-p", "u=2,s=3"])
+    assert (res.exit_code, res.output) == (0, "3*x2\n")
+    res = run(["normalize", "-a", "xspace", "-e", "(1+u)^(-1)*x1", "-p", "u=-1"])
+    _assert_one_line_error(res, "")
+    assert res.output == "error: denominator of 1/(u + 1) vanishes under binding {u}\n"
+
+
 def test_derivative_bad_point_exit_two():
     _assert_one_line_error(run(["d", "-i", "1", "-e", "x1", "-p", "u=0"]), "vanishes")
 

@@ -162,8 +162,8 @@ def _evaluate(tree, const, param):
     cancelling constructors, so it is canonical.  Every value along the
     way, subtrees included, is checked to be held in its narrowest form.
     A zero divisor, or zero to a negative power, is skipped on both sides
-    alike.  A power 0 is the empty product on the field side, where sympy
-    refuses 0**0."""
+    alike.  A power is a repeated product on the field side, so a power 0
+    is the empty product, where sympy refuses 0**0."""
     x, ref = _evaluate_node(tree, const, param)
     assert _is_narrowest(x.f), (tree, x.f)
     return x, ref
@@ -180,10 +180,13 @@ def _evaluate_node(tree, const, param):
         n = tree[2]
         if n < 0 and not fa:
             n = -n
-        if n == 0:
-            ref = sc.FIELD.one
-        else:
-            ref = fa ** n if n > 0 else sc.FIELD.one / fa ** -n
+        # repeated products: sympy squares a polynomial in place after
+        # caching its hash, so its powers can carry a stale hash
+        ref = sc.FIELD.one
+        for _ in range(abs(n)):
+            ref = ref * fa
+        if n < 0:
+            ref = sc.FIELD.one / ref
         return a ** n, ref
     b, fb = _evaluate(tree[2], const, param)
     if kind == "+":
@@ -242,6 +245,9 @@ def _field_value(f, point):
 @settings(max_examples=80, deadline=None)
 @given(trees(), st.fixed_dictionaries({n: small_rationals for n in TREE_PARAMS}))
 @example(("^", ("-", ("p", "u"), ("p", "u")), 0), {n: Fraction(0) for n in TREE_PARAMS})
+# a squared many-term polynomial once kept a hash cached mid-construction
+@example(("^", ("+", ("p", "u"), ("p", "s")), -2), {n: Fraction(0) for n in TREE_PARAMS})
+@example(("^", ("+", ("p", "u"), ("p", "s")), 2), {n: Fraction(0) for n in TREE_PARAMS})
 def test_scalar_agrees_with_the_field(tree, point):
     gens = dict(zip(sc.PARAM_NAMES, sc.FIELD.gens))
     x, ref = _evaluate(tree, lambda c: QQ(c.numerator, c.denominator), gens.get)
