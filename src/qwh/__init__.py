@@ -30,18 +30,15 @@ from .exprparse import ParseError, SourceSpan, parse_poly_text, parse_scalar_tex
 from .freealg import GenTable, MonomialOrder, NCPoly
 from .linalg import (
     Matrix,
-    eigensplit,
     eigenspace_identification,
     generic_q_not_eigenspace,
     involution_check,
     kernel_basis,
     kron,
     pair_to_lin,
-    rank,
     rhat_builtin,
+    row_space,
     rref,
-    span_contains,
-    span_equal,
     ybe_check,
 )
 from .presentations import (

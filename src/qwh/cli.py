@@ -145,10 +145,13 @@ def _parse_params(text: Optional[str]) -> Dict[str, Fraction]:
             raise CLIError(
                 f"unknown parameter {key!r}; known: {', '.join(sorted(sc.PARAM_NAMES))}"
             )
+        if key in out:
+            raise CLIError(f"parameter {key} is bound more than once")
         try:
             out[key] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CLIError(f"bad rational value {val!r} for {key}: {exc}") from None
+            why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise CLIError(f"bad rational value {val!r} for {key}: {why}") from None
     return out
 
 

@@ -116,9 +116,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def columns(self) -> List[list]:
-        return [list(col) for col in zip(*self.entries)]
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """The Kronecker product: entry (i * b.rows + k, j * b.cols + l) is
@@ -231,15 +228,11 @@ def involution_check(R: Matrix) -> CheckReport:
 
 def rref(M: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and its pivots, by `eliminate_rows` on the
-    rows' nonzero entries.  Every rank goes through here."""
+    rows' nonzero entries.  Every kernel and span test goes through here."""
     m = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in M.entries]
     pivots = eliminate_rows(m, range(M.cols))
     dense = [[row.get(j, sc.ZERO) for j in range(M.cols)] for row in m]
     return Matrix(dense), pivots
-
-
-def rank(M: Matrix) -> int:
-    return len(rref(M)[1])
 
 
 def kernel_basis(M: Matrix) -> List[List[Scalar]]:
@@ -256,25 +249,12 @@ def kernel_basis(M: Matrix) -> List[List[Scalar]]:
     return basis
 
 
-def column_space_basis(M: Matrix) -> List[List[Scalar]]:
-    _, pivots = rref(M)
-    cols = M.columns()
-    return [cols[c] for c in pivots]
-
-
-def _column_rank(cols: List[List[Scalar]]) -> int:
-    """Rank of the matrix whose columns are `cols` (0 with no columns)."""
-    return rank(Matrix(cols).transpose())
-
-
-def span_contains(basis: List[List[Scalar]], vecs: List[List[Scalar]]) -> bool:
-    """Every vector of `vecs` lies in span(basis)?"""
-    return _column_rank(basis) == _column_rank(basis + vecs)
-
-
-def span_equal(a: List[List[Scalar]], b: List[List[Scalar]]) -> bool:
-    """span(a) = span(b), that is, a, b and a + b have one rank."""
-    return _column_rank(a) == _column_rank(a + b) == _column_rank(b)
+def row_space(vecs: List[List[Scalar]]) -> List[List[Scalar]]:
+    """The nonzero rows of the reduced row echelon form of `vecs`.  The form
+    is canonical, so span(a) = span(b) exactly when a and b have one row
+    space, and b lies in span(a) exactly when a and a + b have one."""
+    E, pivots = rref(Matrix(vecs))
+    return E.entries[: len(pivots)]
 
 
 def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]]:
@@ -297,15 +277,21 @@ def quadratic_vectors(polys: List[NCPoly], table: GenTable) -> List[List[Scalar]
 # eigenstructure
 # ---------------------------------------------------------------------------
 
-def eigensplit(R: Matrix):
-    """Column bases of the +1 / -1 eigenprojections of an involutive matrix."""
-    if not involution_check(R).ok:
-        raise LinalgError("eigensplit requires an involutive matrix")
-    n = R.rows
-    half = sc.ONE / Scalar.from_int(2)
-    p_plus = (Matrix.identity(n) + R).map(lambda e: e * half)
-    p_minus = (Matrix.identity(n) - R).map(lambda e: e * half)
-    return column_space_basis(p_plus), column_space_basis(p_minus)
+def _eigen_dims(M: Matrix) -> Tuple[int, int]:
+    """Dimensions of the +1 and -1 eigenspaces of an involutive matrix.  The
+    space is their direct sum, so they are (n + tr M) / 2 and (n - tr M) / 2."""
+    if not involution_check(M).ok:
+        raise LinalgError("eigenspace checks require an involutive matrix")
+    tr = int(sum((M[i, i] for i in range(M.rows)), sc.ZERO).as_fraction())
+    return (M.rows + tr) // 2, (M.rows - tr) // 2
+
+
+def _spans_eigenspace(M: Matrix, vecs: List[List[Scalar]], sign: int, dim: int) -> bool:
+    """span(vecs) is the `sign` eigenspace of M, of dimension `dim`: each v
+    has M v = sign * v, and `dim` of them are independent."""
+    lam = Scalar.from_int(sign)
+    cols = [Matrix([[c] for c in v]) for v in vecs]
+    return all(M * v == v.map(lambda e: e * lam) for v in cols) and len(row_space(vecs)) == dim
 
 
 def eigenspace_identification(bindings=None) -> CheckReport:
@@ -322,26 +308,24 @@ def eigenspace_identification(bindings=None) -> CheckReport:
     xi_vecs = quadratic_vectors(xispace.relations, xispace.table)
 
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):
-        vp, vm = eigensplit(M)
-        dims_ok = {len(vp), len(vm)} == {6, 3}
-        three = vp if len(vp) == 3 else vm
-        six = vp if len(vp) == 6 else vm
-        x_ok = span_equal(x_vecs, three)
-        xi_ok = span_equal(xi_vecs, six)
-        comp_ok = _column_rank(x_vecs + xi_vecs) == 9
-        if dims_ok and x_ok and xi_ok and comp_ok:
-            x_sign = "+1" if three is vp else "-1"
-            xi_sign = "+1" if six is vp else "-1"
+        plus, minus = _eigen_dims(M)
+        x_sign = 1 if plus == 3 else -1
+        if (
+            {plus, minus} == {6, 3}
+            and _spans_eigenspace(M, x_vecs, x_sign, 3)
+            and _spans_eigenspace(M, xi_vecs, -x_sign, 6)
+            and len(row_space(x_vecs + xi_vecs)) == 9
+        ):
             items = [
                 CheckItem(f"eigenspace dimensions are {{6, 3}} [{convention}]", True),
                 CheckItem(
                     f"coordinate relations span = 3-dim eigenspace "
-                    f"(eigenvalue {x_sign})",
+                    f"(eigenvalue {x_sign:+d})",
                     True,
                 ),
                 CheckItem(
                     f"one-form relations span = 6-dim eigenspace "
-                    f"(eigenvalue {xi_sign})",
+                    f"(eigenvalue {-x_sign:+d})",
                     True,
                 ),
                 CheckItem("spans are complementary (joint rank 9)", True),
@@ -349,11 +333,12 @@ def eigenspace_identification(bindings=None) -> CheckReport:
             return CheckReport.from_items("eigen", items)
 
     # neither convention works: report the as-printed failure in detail
-    vp, vm = eigensplit(R)
+    one = Matrix.identity(R.rows)
+    plus, minus = len(kernel_basis(R - one)), len(kernel_basis(R + one))
     items = [
         CheckItem(
-            f"eigenspace dimensions {{{len(vp)}, {len(vm)}}} = {{6, 3}}",
-            {len(vp), len(vm)} == {6, 3},
+            f"eigenspace dimensions {{{plus}, {minus}}} = {{6, 3}}",
+            {plus, minus} == {6, 3},
         ),
         CheckItem("coordinate relations span equals an eigenspace", False),
         CheckItem("one-form relations span equals an eigenspace", False),
@@ -369,9 +354,9 @@ def generic_q_not_eigenspace(bindings=None) -> CheckReport:
     vecs = quadratic_vectors(pres.relations, pres.table)
     items = []
     for convention, M in (("as-printed", R), ("transposed", R.transpose())):
-        vp, vm = eigensplit(M)
-        three = vp if len(vp) == 3 else vm
-        ok = not span_equal(vecs, three)
+        plus, minus = _eigen_dims(M)
+        sign, dim = (1, plus) if plus == 3 else (-1, minus)
+        ok = not _spans_eigenspace(M, vecs, sign, dim)
         items.append(
             CheckItem(
                 f"generic-q span differs from the 3-dim eigenspace [{convention}]",

@@ -1,6 +1,7 @@
 """Exact linear algebra over the scalar field and the deformation matrix."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,22 +12,60 @@ from qwh import linalg
 from qwh import scalar as sc
 from qwh.cli import _SUITES, run_suite
 from qwh.linalg import (
+    LinalgError,
     Matrix,
-    eigensplit,
     eigenspace_identification,
     generic_q_not_eigenspace,
     involution_check,
     kernel_basis,
     kron,
     pair_to_lin,
-    rank,
+    quadratic_vectors,
     rhat_builtin,
+    row_space,
     rref,
-    span_contains,
-    span_equal,
     ybe_check,
 )
+from qwh.presentations import builtin
 from qwh.scalar import Scalar
+
+
+# -- references: the rank-based span tests and the eigenprojector bases that
+#    row spaces and R v = lambda v replaced in qwh.linalg ------------------
+
+def rank(M):
+    return len(dense_rref(M)[1])
+
+
+def _column_rank(cols):
+    """Rank of the matrix whose columns are `cols` (0 with no columns)."""
+    return rank(Matrix(cols).transpose())
+
+
+def span_contains(basis, vecs):
+    """Every vector of `vecs` lies in span(basis)?"""
+    return _column_rank(basis) == _column_rank(basis + vecs)
+
+
+def span_equal(a, b):
+    """span(a) = span(b), that is, a, b and a + b have one rank."""
+    return _column_rank(a) == _column_rank(a + b) == _column_rank(b)
+
+
+def column_space_basis(M):
+    cols = M.transpose().entries
+    return [cols[c] for c in dense_rref(M)[1]]
+
+
+def eigensplit(R):
+    """Column bases of the +1 / -1 eigenprojections of an involutive matrix."""
+    if not involution_check(R).ok:
+        raise LinalgError("eigensplit requires an involutive matrix")
+    n = R.rows
+    half = sc.ONE / Scalar.from_int(2)
+    p_plus = (Matrix.identity(n) + R).map(lambda e: e * half)
+    p_minus = (Matrix.identity(n) - R).map(lambda e: e * half)
+    return column_space_basis(p_plus), column_space_basis(p_minus)
 
 
 def test_pair_index_is_a_bijection_onto_0_to_8():
@@ -217,7 +256,7 @@ def test_rref_matches_dense_on_every_suite_matrix(bindings, monkeypatch):
     for name, (_, supports_gq) in _SUITES.items():
         for generic_q in (False, True) if supports_gq else (False,):
             run_suite(name, bindings, generic_q)
-    assert len(seen) > 20
+    assert len(seen) >= 12
     assert any(type(x.f) is not Fraction for M in seen for row in M.entries for x in row)
     for M in seen:
         assert_rref_matches_dense(M)
@@ -245,7 +284,7 @@ def test_rref_matches_dense_on_sparse_matrices(M):
 @given(sparse_matrices(), st.data())
 def test_span_equal_is_mutual_containment(M, data):
     """Three ranks decide what two containment tests decided."""
-    cols = M.columns()
+    cols = M.transpose().entries
     a = data.draw(st.lists(st.sampled_from(cols), max_size=4))
     b = data.draw(st.lists(st.sampled_from(cols), max_size=4))
     assert span_equal(a, b) == (span_contains(a, b) and span_contains(b, a))
@@ -256,6 +295,81 @@ def test_span_equal_detects_difference():
     e2 = [sc.ZERO, sc.ONE]
     assert not span_equal([e1], [e2])
     assert span_equal([e1, e2], [e2, e1])
+
+
+# -- row spaces and eigenspace membership against the references ----------
+
+def assert_row_spaces_match_ranks(a, b):
+    """Equal row spaces decide span equality, and a row space unchanged by
+    adding b decides containment, as the ranks do."""
+    assert (row_space(a) == row_space(b)) == span_equal(a, b)
+    assert (row_space(a) == row_space(a + b)) == span_contains(a, b)
+    assert len(row_space(a)) == _column_rank(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_row_spaces_match_ranks_on_sparse_matrices(M, data):
+    a = data.draw(st.lists(st.sampled_from(M.entries), max_size=4))
+    b = data.draw(st.lists(st.sampled_from(M.entries), max_size=4))
+    assert_row_spaces_match_ranks(a, b)
+    assert_row_spaces_match_ranks(a, a[::-1])
+
+
+SPAN_POINTS = [
+    (None, False),
+    ({"u": Fraction(2), "s": Fraction(3)}, False),
+    ({"u": Fraction(1), "s": Fraction(3)}, False),
+    (None, True),
+]
+SPAN_IDS = ["symbolic", "u=2,s=3", "u=1,s=3", "generic-q"]
+
+
+@pytest.mark.parametrize("bindings, generic_q", SPAN_POINTS, ids=SPAN_IDS)
+def test_row_spaces_match_ranks_on_every_suite_comparison(bindings, generic_q, monkeypatch):
+    """Every vector list whose row space a suite takes, paired with every
+    other one of the same length: the lists each suite compares, and more."""
+    seen = []
+    real = linalg.row_space
+
+    def capture(vecs):
+        seen.append(vecs)
+        return real(vecs)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
+        if getattr(module, "row_space", None) is real:
+            monkeypatch.setattr(module, "row_space", capture)
+    for name, (_, supports_gq) in _SUITES.items():
+        if supports_gq or not generic_q:
+            run_suite(name, bindings, generic_q)
+    assert len(seen) >= (2 if generic_q else 9)
+    for a, b in itertools.combinations_with_replacement(seen, 2):
+        if len(a[0]) == len(b[0]):
+            assert_row_spaces_match_ranks(a, b)
+            assert_row_spaces_match_ranks(b, a)
+
+
+@pytest.mark.parametrize("bindings", [b for b, _ in SPAN_POINTS[:3]], ids=SPAN_IDS[:3])
+def test_eigenspace_membership_matches_the_eigenprojectors(bindings):
+    """For both conventions: the dimensions read off the trace are those of
+    the projector bases, and the coordinate, one-form and generic-q relation
+    lists each span an eigenspace by R v = lambda v exactly when they span
+    that projector basis."""
+    R = rhat_builtin(bindings)
+    lists = []
+    for name in ("xspace", "xispace", "xspace_generic_q"):
+        pres = builtin(name, bindings)
+        lists.append(quadratic_vectors(pres.relations, pres.table))
+    for M in (R, R.transpose()):
+        plus, minus = eigensplit(M)
+        assert linalg._eigen_dims(M) == (len(plus), len(minus))
+        for sign, basis in ((1, plus), (-1, minus)):
+            assert linalg._spans_eigenspace(M, basis, sign, len(basis))
+            assert not linalg._spans_eigenspace(M, basis, -sign, len(basis))
+            assert not linalg._spans_eigenspace(M, basis[1:] + basis[1:], sign, len(basis))
+            for vecs in lists:
+                spans = linalg._spans_eigenspace(M, vecs, sign, len(basis))
+                assert spans == span_equal(vecs, basis)
 
 
 def reference_triple_ops(R):

@@ -15,7 +15,7 @@ from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
 from qwh.freealg import NCPoly
 from qwh.linalg import Matrix, rhat_builtin
-from qwh.memo import bindings_key
+from qwh.memo import bindings_key, memoised
 from qwh.presentations import (
     BUILTIN_NAMES,
     _BUILTINS,
@@ -29,6 +29,7 @@ from qwh.quantumgroup import (
     extended_system,
     group_presentation,
     group_system,
+    rtt7_span_check,
     rtt_relations,
 )
 from qwh.rewrite import build_rules, complete
@@ -39,6 +40,7 @@ POINT = {"u": 2, "s": 3}
 def _artifacts(bindings):
     return {
         "rtt9": group_presentation("H10", bindings),
+        "rtt7": memoised("rtt7", bindings, lambda: rtt_relations(ngen=7, bindings=bindings)),
         "wz": wz_system(bindings=bindings),
         "wz-generic-q": wz_system(generic_q=True, bindings=bindings),
         "system-H8": group_system("H8", bindings),
@@ -94,6 +96,10 @@ def test_memoised_systems_match_fresh_builds(bindings):
     assert _rules(wz_system(bindings=bindings)) == _rules(
         build_rules(wz.relations, wz.order, wz.table)
     )
+
+    rtt7_span_check(bindings)
+    rtt7 = memoised("rtt7", bindings, None)  # the entry the check memoised
+    assert rtt7.relations == rtt_relations(ngen=7, bindings=bindings).relations
 
     rtt9 = rtt_relations(ngen=9, bindings=bindings)
     assert group_presentation("H10", bindings).relations == rtt9.relations

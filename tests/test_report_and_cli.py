@@ -190,6 +190,19 @@ def test_normalize_bad_input_exit_two(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--suite", "ybe"], ["normalize", "-a", "xspace", "-e", "u*x1"]],
+    ids=["check", "normalize"],
+)
+def test_repeated_or_zero_denominator_binding_exit_two(command):
+    for params in ("u=2,u=3", "u=2,s=1,u=2"):
+        _assert_one_line_error(run(command + ["-p", params]), "parameter u is bound more than once")
+    res = run(command + ["-p", "u=2,s=1/0"])
+    _assert_one_line_error(res, "")
+    assert res.output == "error: bad rational value '1/0' for s: zero denominator\n"
+
+
 def test_degenerate_point_messages_are_pinned():
     # u = 0 makes a coefficient's denominator vanish; the message names it
     res = run(["normalize", "-a", "xspace", "-e", "x1*x2", "-p", "u=0"])

@@ -433,3 +433,33 @@ def test_no_value_is_stored_in_a_wider_form_than_it_needs(monkeypatch):
                     apply_derivative(i, NCPoly.word(table, word), bindings)
     assert len(stored) > 10000
     assert wide == []
+
+
+# -- no suite divides by a sum ---------------------------------------------
+
+@pytest.mark.parametrize(
+    "bindings", [None, {"u": Fraction(2), "s": Fraction(3)}], ids=["symbolic", "u=2,s=3"]
+)
+def test_no_suite_builds_a_denominator_of_more_than_one_term(bindings, monkeypatch):
+    """While the 18 suites and the three generic-q variants run, with the
+    memo empty so that every system is built under the census, no Scalar
+    holds a value whose denominator has more than one term (u^2 - 1,
+    u^2 - q, ...): no span or eigenspace check divides by a sum."""
+    wide, stored = [], []
+    real_init = Scalar.__init__
+
+    def init(self, f):
+        stored.append(None)
+        if type(f) is FracElement and len(f.denom) > 1:
+            wide.append(f)
+        real_init(self, f)
+
+    monkeypatch.setattr(memo, "_symbolic", {})
+    monkeypatch.setattr(memo, "_point", {})
+    monkeypatch.setattr(memo, "_point_key", ())
+    monkeypatch.setattr(Scalar, "__init__", init)
+    for name, (_, supports_gq) in _SUITES.items():
+        for generic_q in (False, True) if supports_gq else (False,):
+            run_suite(name, bindings, generic_q)
+    assert len(stored) > 5000
+    assert wide == []
