@@ -129,7 +129,9 @@ def _fail(message) -> NoReturn:
     sys.exit(2)
 
 
-def _parse_params(text: Optional[str]) -> Dict[str, Fraction]:
+def _parse_params(text: Optional[str], names=("u", "s", "q")) -> Dict[str, Fraction]:
+    """Bindings of `names`; the other parameters are the unknowns of the
+    one-form ansatz, which only a presentation to `normalize` may declare."""
     if not text:
         return {}
     out = {}
@@ -141,10 +143,11 @@ def _parse_params(text: Optional[str]) -> Dict[str, Fraction]:
         key, val = key.strip(), val.strip()
         if not sep or not key or not val:
             raise CLIError(f"malformed parameter binding {piece!r} (expected k=v)")
-        if key not in sc.PARAM_NAMES:
-            raise CLIError(
-                f"unknown parameter {key!r}; known: {', '.join(sorted(sc.PARAM_NAMES))}"
-            )
+        if key not in names:
+            known = ", ".join(sorted(names))
+            if key in sc.PARAM_NAMES:
+                raise CLIError(f"{key} is an ansatz unknown, not a parameter; bindable: {known}")
+            raise CLIError(f"unknown parameter {key!r}; known: {known}")
         if key in out:
             raise CLIError(f"parameter {key} is bound more than once")
         try:
@@ -245,7 +248,7 @@ def check(suite, params, generic_q, fmt, out):
 def normalize(algebra, expr, params):
     """Print the normal form of an expression in a presented algebra."""
     try:
-        bindings = _parse_params(params)
+        bindings = _parse_params(params, sc.PARAM_NAMES)
         pres = _load_presentation(algebra, bindings)
         poly = parse_poly_text(expr, pres.table)
         if bindings:

@@ -315,7 +315,7 @@ def pin_free_coefficients(bindings=None) -> Tuple[Dict[str, Scalar], CheckReport
                 row_space(pv) == row_space(xv),
             )
         )
-        joint = diamond_check(xis.rewrite_system(), suite="xi-diamond")
+        joint = diamond_check(pinned.rewrite_system(), suite="xi-diamond")
         items.append(CheckItem("pinned one-form system is confluent", joint.ok))
         mixed_rep = comodule_check(pinned, group)
         items.append(CheckItem("pinned ansatz is a comodule", mixed_rep.ok))

@@ -149,6 +149,11 @@ T_GENS = ["T11", "T12", "T13", "T21", "T22", "T23", "T33"]
 t_GENS = ["t11", "t12", "t13", "t21", "t22", "t23", "t31", "t32", "t33"]
 
 T_DEGREES = {"T11": 0, "T12": 2, "T13": 1, "T21": -2, "T22": 0, "T23": -1, "T33": 0}
+t_DEGREES = {
+    "t11": 0, "t12": 2, "t13": 1,
+    "t21": -2, "t22": 0, "t23": -1,
+    "t31": -1, "t32": 1, "t33": 0,
+}
 
 
 def _pres(
@@ -322,6 +327,7 @@ _BUILTINS = {
         gens=t_GENS + ["dinv"],
         params={"u"},
         rel_texts=_tdinv_RELS,
+        degree_by_name={**t_DEGREES, "dinv": 0},
         matrix=_t_matrix("t"),
     ),
     "xspace_generic_q": dict(

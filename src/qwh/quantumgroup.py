@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import scalar as sc
 from .freealg import GenTable, MonomialOrder, NCPoly
@@ -15,11 +15,8 @@ from .linalg import Matrix, kron, quadratic_vectors, rhat_builtin, row_space
 from .memo import memoised, specialised
 from .presentations import (
     Presentation,
-    T_DEGREES,
-    T_GENS,
     TensorAlgebra,
     builtin,
-    t_GENS,
     transcribed_T_constraints,
 )
 from .report import CheckItem, CheckReport
@@ -38,11 +35,9 @@ class QuantumGroupError(Exception):
     pass
 
 
-t_DEGREES = {
-    "t11": 0, "t12": 2, "t13": 1,
-    "t21": -2, "t22": 0, "t23": -1,
-    "t31": -1, "t32": 1, "t33": 0,
-}
+#: the extended presentation (matrix generators plus the determinant
+#: inverse, listed last) of each algebra
+_EXT = {"H8": "TDinv", "H10": "tdinv"}
 
 
 def generator_matrix(pres: Presentation) -> Matrix:
@@ -71,38 +66,27 @@ def rtt_relations(ngen: int = 9, bindings=None) -> Presentation:
     """All 81 instances of the defining identity
     R^{ji}_{kl} T^k_m T^l_n = T^j_l T^i_k R^{lk}_{mn} of the built-in
     matrix, Gaussian-eliminated to an independent list.  ngen selects the
-    full 9-generator matrix or the 7-generator shape with the lower-left
-    corner zeroed."""
+    full 9-generator matrix of H10 or the 7-generator shape of H8 (lower-left
+    corner zero), each as its extended presentation states it."""
     R = rhat_builtin(bindings)
-    if ngen == 9:
-        table = GenTable(t_GENS)
-        degree = {table.gen(n): d for n, d in t_DEGREES.items()}
-        grid = [[table.gen(f"t{i}{j}") for j in (1, 2, 3)] for i in (1, 2, 3)]
-        name = "rtt9"
-    elif ngen == 7:
-        table = GenTable(T_GENS)
-        degree = {table.gen(n): d for n, d in T_DEGREES.items()}
-        grid = [
-            [None if (i, j) in ((3, 1), (3, 2)) else table.gen(f"T{i}{j}") for j in (1, 2, 3)]
-            for i in (1, 2, 3)
-        ]
-        name = "rtt7"
-    else:
+    if ngen not in (7, 9):
         raise QuantumGroupError(f"ngen must be 7 or 9, got {ngen}")
+    ext = builtin(_EXT["H8" if ngen == 7 else "H10"])
+    table = GenTable(ext.table.names[:-1])  # all but the det-inverse
     order = MonomialOrder.default(table)
-    identities = _rtt_identities(R, Matrix.of_grid(table, grid))
+    identities = _rtt_identities(R, Matrix.of_grid(table, ext.matrix))
     raw = [rel for row in identities.entries for rel in row if not rel.is_zero()]
     rows = interreduce_relations(raw, order)
     params = frozenset().union(*[c.params_used() for r in rows for c in r.terms.values()]) \
         if rows else frozenset()
     return Presentation(
-        name=name,
+        name=f"rtt{ngen}",
         table=table,
         params=params,
         relations=rows,
         order=order,
-        degree=degree,
-        matrix=tuple(tuple(row) for row in grid),
+        degree={g: d for g, d in ext.degree.items() if g < len(table)},
+        matrix=ext.matrix,
     )
 
 
@@ -268,11 +252,6 @@ def adjugate(which: str, bindings=None) -> Matrix:
     )
 
 
-#: the extended presentation (matrix generators plus the determinant
-#: inverse) of each algebra
-_EXT = {"H8": "TDinv", "H10": "tdinv"}
-
-
 def extended_system(which: str, bindings=None) -> RewriteSystem:
     """Joint rewrite system on the matrix generators plus the determinant
     inverse: matrix relations lifted to the extended table, plus the
@@ -293,17 +272,11 @@ def inverse_check(which: str, bindings=None) -> CheckReport:
     system = group_system(which, bindings)
     A = adjugate(which, bindings)
     det = determinant(which, bindings)
-    MA = generator_matrix(pres) * A
-    adj_ok = all(
-        system.normal_form(MA[i, j] - det if i == j else MA[i, j]).is_zero()
-        for i, j in product(range(3), repeat=2)
-    )
+    adj_ok = _is_scalar_matrix(system.normal_form, generator_matrix(pres) * A, det)
     # the adjugate is one-sided by construction (the printed inverse puts
     # the determinant inverse on the right); the left inverse only holds
     # with the det-inverse weighting that the antipode S(T) carries
-    right_ok, left_ok = _inverse_pair(
-        hopf_data(which, bindings), extended_system(which, bindings)
-    )
+    right_ok, left_ok = _inverse_pair(hopf_data(which, bindings))
     items = [
         CheckItem("matrix x adjugate = determinant x identity", adj_ok),
         CheckItem(
@@ -344,7 +317,8 @@ def det_commutation_derive(which: str, bindings=None) -> CheckReport:
     system = group_system(which, bindings)
     ext = builtin(_EXT[which], bindings)
     det = determinant(which, bindings)
-    table_factors = _dinv_table_factors(ext)
+    esys = extended_system(which, bindings)
+    dinv = len(ext.table) - 1  # the det-inverse is listed last
     items = []
     noncentral = False
     for gname in pres.table.names:
@@ -360,7 +334,10 @@ def det_commutation_derive(which: str, bindings=None) -> CheckReport:
         if c != sc.ONE:
             noncentral = True
         r = sc.ONE / c
-        printed = table_factors[gname]
+        # the loaded rule g*dinv -> r*dinv*g leaves one term, coefficient r
+        (printed,) = esys.normal_form(
+            NCPoly.word(ext.table, (ext.table.gen(gname), dinv))
+        ).terms.values()
         items.append(
             CheckItem(
                 f"{gname}*det = ({c})*det*{gname}; table factor {printed}",
@@ -370,24 +347,6 @@ def det_commutation_derive(which: str, bindings=None) -> CheckReport:
         )
     items.append(CheckItem("determinant is not central", noncentral))
     return CheckReport.from_items(f"det-comm-{which.lower()}", items)
-
-
-def _dinv_table_factors(ext: Presentation) -> Dict[str, Scalar]:
-    """Factors r in the loaded relations g*dinv - r*dinv*g."""
-    dinv = ext.table.gen(ext.table.names[-1])
-    out: Dict[str, Scalar] = {}
-    for rel in ext.relations:
-        lead, rest = None, None
-        for w, c in rel.terms.items():
-            if w[0] != dinv and w[1] == dinv:
-                lead = (w, c)
-            elif w[0] == dinv:
-                rest = (w, c)
-        if lead is None or rest is None or len(rel.terms) != 2:
-            raise QuantumGroupError(f"unexpected commutation relation {rel}")
-        gname = ext.table.name(lead[0][0])
-        out[gname] = -rest[1] / lead[1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +365,11 @@ class HopfData:
     antipode is an anti-homomorphism.  The coproduct lands in `doubled`,
     two commuting copies of the extended algebra: the left copy comes
     first in its table, so normal words read the right copy first; reduce
-    there with `doubled.normal_form(p, esys, esys)`, esys = extended_system."""
+    there with `doubled.normal_form(p, system, system)`."""
 
     ext: Presentation
+    #: the extended rewrite system, `extended_system(which, bindings)`
+    system: RewriteSystem
     relations: List[NCPoly]
     doubled: TensorAlgebra
     dinv: NCPoly
@@ -428,55 +389,60 @@ class HopfData:
 
 def hopf_data(which: str, bindings=None) -> HopfData:
     """The Hopf structure of H8 or H10 on its extended algebra: the only
-    place the antipode S(T) = adjugate x det-inverse is built."""
-    ext = builtin(_EXT[which], bindings)
-    pres = group_presentation(which, bindings)
-    to_ext = pres.table.gid_map(ext.table)
-    dinv_gid = len(ext.table) - 1  # the det-inverse is listed last
-    dinv = NCPoly.generator(ext.table, dinv_gid)
-    position = {
-        g: (i, j)
-        for i, row in enumerate(ext.matrix)
-        for j, g in enumerate(row)
-        if g is not None
-    }
-    doubled = TensorAlgebra(
-        ext, ext, [f"{n}.{side}" for side in "lr" for n in ext.table.names]
-    )
-    M = generator_matrix(ext)
+    place the antipode S(T) = adjugate x det-inverse is built.  Memoised
+    like `group_system`."""
+    def make():
+        ext = builtin(_EXT[which], bindings)
+        pres = group_presentation(which, bindings)
+        to_ext = pres.table.gid_map(ext.table)
+        dinv_gid = len(ext.table) - 1  # the det-inverse is listed last
+        dinv = NCPoly.generator(ext.table, dinv_gid)
+        position = {
+            g: (i, j)
+            for i, row in enumerate(ext.matrix)
+            for j, g in enumerate(row)
+            if g is not None
+        }
+        doubled = TensorAlgebra(
+            ext, ext, [f"{n}.{side}" for side in "lr" for n in ext.table.names]
+        )
+        M = generator_matrix(ext)
 
-    def in_copy(ids):  # M in one copy of the doubled algebra
-        return M.map(lambda e: e.relabel(doubled.table, ids), NCPoly.zero(doubled.table))
+        def in_copy(ids):  # M in one copy of the doubled algebra
+            return M.map(lambda e: e.relabel(doubled.table, ids), NCPoly.zero(doubled.table))
 
-    delta = in_copy(doubled.first) * in_copy(doubled.second)
-    A = adjugate(which, bindings).map(
-        lambda e: e.relabel(ext.table, to_ext), NCPoly.zero(ext.table)
-    )
-    coproduct_images, counit_images, antipode_images = [], [], []
-    for g in range(len(ext.table)):
-        if g == dinv_gid:
-            coproduct_images.append(doubled.tensor(dinv, dinv))
-            counit_images.append(NCPoly.one(_GROUND))
-            # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
-            antipode_images.append(
-                determinant(which, bindings).relabel(ext.table, to_ext)
-            )
-        else:
-            i, j = position[g]
-            coproduct_images.append(delta[i, j])
-            counit_images.append(
-                NCPoly.one(_GROUND) if i == j else NCPoly.zero(_GROUND)
-            )
-            antipode_images.append(A[i, j] * dinv)
-    return HopfData(
-        ext=ext,
-        relations=_all_relations(which, bindings),
-        doubled=doubled,
-        dinv=dinv,
-        coproduct_images=coproduct_images,
-        counit_images=counit_images,
-        antipode_images=antipode_images,
-    )
+        delta = in_copy(doubled.first) * in_copy(doubled.second)
+        A = adjugate(which, bindings).map(
+            lambda e: e.relabel(ext.table, to_ext), NCPoly.zero(ext.table)
+        )
+        coproduct_images, counit_images, antipode_images = [], [], []
+        for g in range(len(ext.table)):
+            if g == dinv_gid:
+                coproduct_images.append(doubled.tensor(dinv, dinv))
+                counit_images.append(NCPoly.one(_GROUND))
+                # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
+                antipode_images.append(
+                    determinant(which, bindings).relabel(ext.table, to_ext)
+                )
+            else:
+                i, j = position[g]
+                coproduct_images.append(delta[i, j])
+                counit_images.append(
+                    NCPoly.one(_GROUND) if i == j else NCPoly.zero(_GROUND)
+                )
+                antipode_images.append(A[i, j] * dinv)
+        return HopfData(
+            ext=ext,
+            system=extended_system(which, bindings),
+            relations=_all_relations(which, bindings),
+            doubled=doubled,
+            dinv=dinv,
+            coproduct_images=coproduct_images,
+            counit_images=counit_images,
+            antipode_images=antipode_images,
+        )
+
+    return memoised(("hopf", which), bindings, make)
 
 
 def _all_relations(which: str, bindings=None) -> List[NCPoly]:
@@ -488,23 +454,25 @@ def _all_relations(which: str, bindings=None) -> List[NCPoly]:
     return [r.relabel(ext.table, to_ext) for r in pres.relations] + list(ext.relations)
 
 
-def _inverse_pair(data: HopfData, esys: RewriteSystem) -> Tuple[bool, bool]:
+def _is_scalar_matrix(normal_form, P: Matrix, unit: NCPoly) -> bool:
+    """Whether P equals unit x identity, entrywise in normal form."""
+    diagonal = normal_form(unit)
+    return all(
+        normal_form(P[i, j]) == (diagonal if i == j else P.zero)
+        for i, j in product(range(3), repeat=2)
+    )
+
+
+def _inverse_pair(data: HopfData) -> Tuple[bool, bool]:
     """Whether T x S(T) = det x det-inverse x identity and S(T) x T =
     det-inverse x det x identity, entrywise in the extended quotient."""
     M = generator_matrix(data.ext)
     SM = M.map(data.antipode)
     det = data.antipode(data.dinv)  # S(det-inverse) = det
-
-    def is_scalar_matrix(P: Matrix, unit: NCPoly) -> bool:
-        diagonal = esys.normal_form(unit)
-        return all(
-            esys.normal_form(P[i, j]) == (diagonal if i == j else P.zero)
-            for i, j in product(range(3), repeat=2)
-        )
-
+    nf = data.system.normal_form
     return (
-        is_scalar_matrix(M * SM, det * data.dinv),
-        is_scalar_matrix(SM * M, data.dinv * det),
+        _is_scalar_matrix(nf, M * SM, det * data.dinv),
+        _is_scalar_matrix(nf, SM * M, data.dinv * det),
     )
 
 
@@ -524,8 +492,7 @@ def hopf_check(which: str, bindings=None) -> CheckReport:
     splits the coproduct, and the antipode composes to the counit through
     the adjugate identity."""
     data = hopf_data(which, bindings)
-    ext, relations = data.ext, data.relations
-    esys = extended_system(which, bindings)
+    ext, relations, esys = data.ext, data.relations, data.system
     items = [
         _all_vanish(
             f"coproduct preserves all {len(relations)} relations",
@@ -551,7 +518,7 @@ def hopf_check(which: str, bindings=None) -> CheckReport:
         CheckItem(
             "antipode axiom m(S x id)coproduct = counit = m(id x S)coproduct"
             " on matrix generators (against det x det-inverse = 1)",
-            all(_inverse_pair(data, esys)),
+            all(_inverse_pair(data)),
         )
     )
     items.append(
@@ -577,9 +544,9 @@ def subalgebra_check(bindings=None) -> CheckReport:
     # the map t^i_j -> T^i_j, d^{-1} -> D^{-1} renames t11 to T11 and dinv
     # to Dinv; T31 and T32 do not exist, so words holding t31 or t32 die
     embed = h10_ext.table.gid_map(h8_ext.table, str.capitalize)
-    esys8 = extended_system("H8", bindings)
     data8 = hopf_data("H8", bindings)
     data10 = hopf_data("H10", bindings)
+    esys8 = data8.system
     items = [
         _all_vanish(
             f"all {len(data10.relations)} relations map into the 7-generator ideal",

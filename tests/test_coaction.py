@@ -23,7 +23,7 @@ from qwh.exprparse import parse_scalar_text
 from qwh.freealg import NCPoly
 from qwh.presentations import builtin
 from qwh.quantumgroup import group_presentation
-from qwh.rewrite import build_rules
+from qwh.rewrite import build_rules, diamond_check
 from qwh.scalar import Scalar
 
 
@@ -121,6 +121,24 @@ def test_pin_free_coefficients_matches_builtin_one_forms():
     assert pins["c21"] == parse_scalar_text("-u^(-2)")
     assert pins["lam"] == parse_scalar_text("-u^(-1)")
     assert pins["mu"] == parse_scalar_text("-u")
+
+
+@pytest.mark.parametrize("bindings", [None, {"u": 2, "s": 3}], ids=["symbolic", "u=2,s=3"])
+def test_pinned_confluence_is_checked_in_the_ansatz_order(bindings, monkeypatch):
+    checked = []
+
+    def recording(system, suite="diamond"):
+        checked.append(system)
+        return diamond_check(system, suite)
+
+    monkeypatch.setattr(coaction, "diamond_check", recording)
+    pins, report = pin_free_coefficients(bindings)
+    assert report.ok
+    (system,) = checked
+    # xi3 > xi2 > xi1, where the built-in one-form algebra has xi1 > xi2 > xi3
+    assert system.order.rank == builtin("ansatz_xi").order.rank == (2, 1, 0)
+    assert builtin("xispace").order.rank == (0, 1, 2)
+    assert len(system.rules) == 6
 
 
 def test_ansatz_check_suite():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwh import rewrite
+from qwh import memo, quantumgroup, rewrite
 from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
 from qwh.freealg import NCPoly
@@ -29,6 +29,7 @@ from qwh.quantumgroup import (
     extended_system,
     group_presentation,
     group_system,
+    hopf_data,
     rtt7_span_check,
     rtt_relations,
 )
@@ -47,6 +48,8 @@ def _artifacts(bindings):
         "system-H10": group_system("H10", bindings),
         "extended-H8": extended_system("H8", bindings),
         "extended-H10": extended_system("H10", bindings),
+        "hopf-H8": hopf_data("H8", bindings),
+        "hopf-H10": hopf_data("H10", bindings),
         "rhat": rhat_builtin(bindings),
         "T-constraints": transcribed_T_constraints(bindings),
         **{f"builtin-{name}": builtin(name, bindings) for name in BUILTIN_NAMES},
@@ -71,7 +74,7 @@ def test_same_point_shares_and_a_new_point_evicts():
     # lists and slotted polynomials take no weak reference; the rest stand
     # for them, since one dict holds every entry of a point
     refs = {k: weakref.ref(v) for k, v in first.items() if type(v).__weakrefoffset__}
-    assert {"rtt9", "wz", "rhat", "builtin-TT7", "adjugate-H10"} <= set(refs)
+    assert {"rtt9", "wz", "rhat", "builtin-TT7", "adjugate-H10", "hopf-H10"} <= set(refs)
     other = _artifacts({"u": 3, "s": 3})
     assert all(other[k] is not first[k] for k in first)
     del first, again
@@ -133,6 +136,10 @@ def _snapshot(obj):
         return [_snapshot(x) for x in obj]
     if isinstance(obj, Matrix):
         return [[_snapshot(e) for e in row] for row in obj.entries]
+    if hasattr(obj, "antipode_images"):  # a HopfData; its system is listed apart
+        return _snapshot(
+            [obj.relations, obj.coproduct_images, obj.counit_images, obj.antipode_images]
+        )
     if hasattr(obj, "relations"):  # a Presentation
         return _snapshot(obj.relations)
     if hasattr(obj, "rules"):  # a RewriteSystem
@@ -183,3 +190,48 @@ def test_a_pass_at_a_point_builds_each_system_once(monkeypatch):
     t7 = tuple(builtin("TT7").table.names)
     assert sum(n for (names, _), n in built.items() if names == t7) == 1
     assert set(built.values()) == {1}
+
+
+def _run_every_suite(bindings):
+    for runner, has_generic_q in _SUITES.values():
+        runner(bindings, False)
+        if has_generic_q:
+            runner(bindings, True)
+
+
+def test_the_memo_holds_exactly_the_artifacts_listed_here(monkeypatch):
+    """Every key the suites memoise is one `_artifacts` names, so the
+    sharing, eviction and immutability tests above cover each of them.
+    `_artifacts` lists every built-in, and only `classical_R` is read by
+    no suite (`qwh normalize` reads it)."""
+
+    def fresh_memo():
+        monkeypatch.setattr(memo, "_symbolic", {})
+        monkeypatch.setattr(memo, "_point", {})
+        monkeypatch.setattr(memo, "_point_key", ())
+
+    fresh_memo()
+    for bindings in (None, dict(POINT)):
+        _run_every_suite(bindings)
+    used = set(memo._symbolic), set(memo._point)
+    fresh_memo()
+    for bindings in (None, dict(POINT)):
+        _artifacts(bindings)
+    unused = {("builtin", "classical_R")}
+    assert (set(memo._symbolic) - unused, set(memo._point) - unused) == used
+
+
+def test_a_pass_at_a_point_builds_the_hopf_data_once_per_algebra(monkeypatch):
+    point = {"u": Fraction(7, 3), "s": Fraction(2, 5)}
+    builtin("TT7", POINT)  # any other point evicts this one's entries
+    built = []
+    real = quantumgroup.TensorAlgebra
+
+    def counting(*args, **kwargs):
+        built.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantumgroup, "TensorAlgebra", counting)
+    for runner, _ in _SUITES.values():
+        assert runner(point, False).status == "PASS"
+    assert sorted(built) == ["TDinv", "tdinv"]

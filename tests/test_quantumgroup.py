@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from qwh import quantumgroup
+from qwh import memo, presentations, quantumgroup
 from qwh import scalar as sc
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import GenTable, NCPoly
@@ -109,6 +109,7 @@ def test_wrong_adjugate_fails_every_inverse_item_and_only_the_antipode_axiom(
         entries[0][0] = A[0, 0] + A[0, 0]
         return Matrix(entries, A.zero)
 
+    monkeypatch.setattr(memo, "_symbolic", {})  # hopf_data is memoised
     monkeypatch.setattr(quantumgroup, "adjugate", corner_doubled)
     assert [i.passed for i in inverse_check(which).items] == [False] * 3
     hopf = hopf_check(which)
@@ -123,14 +124,22 @@ def test_coproduct_is_multiplicative_on_relations():
     # relation reduces to zero in the two commuting copies
     for which in ("H8", "H10"):
         data = hopf_data(which)
-        esys = extended_system(which)
+        esys = data.system
         for r in data.relations:
             assert data.doubled.normal_form(data.coproduct(r), esys, esys).is_zero()
 
 
+def test_hopf_data_is_memoised_and_carries_the_extended_system():
+    for which in ("H8", "H10"):
+        assert hopf_data(which) is hopf_data(which, {})
+        assert hopf_data(which).system is extended_system(which)
+        at_point = hopf_data(which, {"u": 2, "s": 3})
+        assert at_point.system is extended_system(which, {"u": Fraction(2), "s": 3})
+
+
 def test_doubled_normal_words_put_right_copy_first():
     data = hopf_data("H8")
-    esys = extended_system("H8")
+    esys = data.system
     t11, t12 = (NCPoly.parse(data.ext.table, n) for n in ("T11", "T12"))
     table = data.doubled.table
     nf = data.doubled.normal_form(data.doubled.tensor(t11, t12), esys, esys)
@@ -202,3 +211,60 @@ def test_rtt_product_matches_the_index_loop(ngen, bindings):
     got = [rel for row in identities.entries for rel in row]
     assert got == list(reference_rtt_identities(R, pres.matrix, pres.table))
     assert sum(not rel.is_zero() for rel in got) > 20
+
+
+def reference_dinv_table_factors(ext):
+    """Factors r in the loaded relations g*dinv - r*dinv*g, parsed off the
+    relations' shape: how det-comm read the printed factors before it read
+    them off the extended rewrite system."""
+    dinv = ext.table.gen(ext.table.names[-1])
+    out = {}
+    for rel in ext.relations:
+        lead, rest = None, None
+        for w, c in rel.terms.items():
+            if w[0] != dinv and w[1] == dinv:
+                lead = (w, c)
+            elif w[0] == dinv:
+                rest = (w, c)
+        assert lead is not None and rest is not None and len(rel.terms) == 2
+        out[ext.table.name(lead[0][0])] = -rest[1] / lead[1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "bindings", [None, {"u": 2, "s": 3}, {"u": 1, "s": 3}], ids=["symbolic", "u=2,s=3", "u=1,s=3"]
+)
+@pytest.mark.parametrize("which", ["H8", "H10"])
+def test_det_comm_reads_the_table_factors_of_the_loaded_relations(which, bindings):
+    ext = builtin(quantumgroup._EXT[which], bindings)
+    expected = reference_dinv_table_factors(ext)
+    labels = [i.label for i in det_commutation_derive(which, bindings).items[:-1]]
+    gnames = group_presentation(which).table.names
+    assert sorted(expected) == sorted(gnames) and len(labels) == len(gnames)
+    for label, gname in zip(labels, gnames):
+        assert label.startswith(f"{gname}*det = (")
+        assert label.endswith(f"; table factor {expected[gname]}")
+
+
+def test_rtt_shapes_are_the_literal_tables_grids_and_degrees():
+    t7 = rtt_relations(ngen=7)
+    assert t7.name == "rtt7"
+    assert t7.table.names == ["T11", "T12", "T13", "T21", "T22", "T23", "T33"]
+    assert [[None if g is None else t7.table.name(g) for g in row] for row in t7.matrix] == [
+        ["T11", "T12", "T13"], ["T21", "T22", "T23"], [None, None, "T33"]
+    ]
+    assert {t7.table.name(g): d for g, d in t7.degree.items()} == presentations.T_DEGREES
+    t9 = rtt_relations(ngen=9)
+    assert t9.name == "rtt9"
+    names = [f"t{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+    assert t9.table.names == names
+    assert [[t9.table.name(g) for g in row] for row in t9.matrix] == [
+        names[0:3], names[3:6], names[6:9]
+    ]
+    assert {t9.table.name(g): d for g, d in t9.degree.items()} == {
+        "t11": 0, "t12": 2, "t13": 1,
+        "t21": -2, "t22": 0, "t23": -1,
+        "t31": -1, "t32": 1, "t33": 0,
+    }
+    with pytest.raises(quantumgroup.QuantumGroupError):
+        rtt_relations(ngen=8)

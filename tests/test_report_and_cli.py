@@ -96,6 +96,40 @@ def test_run_all_checks_bad_params_exit_two():
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--suite", "ansatz"], ["derive"], ["d", "-i", "1", "-e", "x1"]],
+    ids=["check", "derive", "d"],
+)
+@pytest.mark.parametrize("unknown", ["k", "lam12", "mu12", "c21", "lam", "mu"])
+def test_ansatz_unknowns_cannot_be_bound(command, unknown):
+    # binding what the ansatz solves for would report on a different problem
+    res = run(command + ["-p", f"u=2,{unknown}=0"])
+    _assert_one_line_error(res, "")
+    assert res.output == (
+        f"error: {unknown} is an ansatz unknown, not a parameter; bindable: q, s, u\n"
+    )
+
+
+def test_normalize_binds_the_parameters_a_presentation_declares(tmp_path):
+    path = tmp_path / "a.pres"
+    path.write_text("algebra a\nparams lam\ngenerators y > x\nrel x*y = lam*y*x\n")
+    res = run(["normalize", "-a", str(path), "-e", "y*x", "-p", "lam=3"])
+    assert (res.exit_code, res.output) == (0, "1/3*x*y\n")
+
+
+def test_run_all_checks_rejects_ansatz_unknowns():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    res = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "run_all_checks.py"),
+         "--params", "k=0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: k is an ansatz unknown, not a parameter; bindable: q, s, u\n"
+
+
 def test_run_suite_reports_a_raising_suite_as_error(monkeypatch):
     def boom(bindings, generic_q):
         raise ZeroDivisionError("degenerate point")
