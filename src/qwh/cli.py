@@ -178,19 +178,17 @@ def _emit(report_dicts, texts, fmt, out):
         import json
 
         payload = report_dicts[0] if len(report_dicts) == 1 else report_dicts
-        blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(blob)
-        else:
-            click.echo(blob, nl=False)
+        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         body = "\n".join(texts) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(body)
-        else:
-            click.echo(body, nl=False)
+    if not out:
+        click.echo(body, nl=False)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        _fail(f"cannot write the report to {out!r}: {exc.strerror}")
 
 
 def _status_exit(statuses) -> int:

@@ -35,14 +35,17 @@ class MixedAlgebra(TensorAlgebra):
     def __init__(self, group: Presentation, space: Presentation):
         if group.matrix is None:
             raise CoactionError(f"{group.name} carries no quantum-matrix structure")
-        if space.vector is None:
-            raise CoactionError(f"{space.name} is not a space presentation")
+        if len(space.table) != len(group.matrix):
+            raise CoactionError(
+                f"{space.name} has {len(space.table)} generators, not the"
+                f" {len(group.matrix)} of {group.name}'s matrix"
+            )
         super().__init__(space, group)
         self.group = group
         self.space = space
         self.images = {}
-        for row, x in zip(group.matrix, space.vector):
-            pairs = [(g, y) for g, y in zip(row, space.vector) if g is not None]
+        for x, row in enumerate(group.matrix):
+            pairs = [(g, y) for y, g in enumerate(row) if g is not None]
             words = {(self.second[g], self.first[y]): ONE for g, y in pairs}
             self.images[x] = NCPoly(self.table, words)
 

@@ -83,14 +83,10 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         for l in three:
             rels += [x_xi[3 * k + l, 0], d_xi[3 * k + l, 0], d_x[3 * l + k, 0]]
 
-    params = frozenset().union(
-        *[c.params_used() for r in rels for c in r.terms.values()]
-    ) | {"u", "s"}
     degree = {table.gen(n): d for n, d in WZ_DEGREES.items()}
     return Presentation(
         name="wz_generic_q" if generic_q else "wz",
         table=table,
-        params=params,
         relations=rels,
         order=order,
         degree=None if generic_q else degree,

@@ -82,17 +82,6 @@ class MonomialOrder:
             rank[table.gen(n)] = pos
         return MonomialOrder(tuple(rank))
 
-    def cmp(self, a: Word, b: Word) -> int:
-        """-1, 0, 1 for a <, =, > b."""
-        if len(a) != len(b):
-            return -1 if len(a) < len(b) else 1
-        r = self.rank
-        for x, y in zip(a, b):
-            if x != y:
-                # smaller rank = higher precedence = larger letter
-                return 1 if r[x] < r[y] else -1
-        return 0
-
     def key(self, w: Word):
         """Sort key: ascending key order = ascending monomial order."""
         return (len(w), tuple(-self.rank[g] for g in w))

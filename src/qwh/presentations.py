@@ -20,28 +20,16 @@ class PresentationError(Exception):
 class Presentation:
     name: str
     table: GenTable
-    params: frozenset
     relations: List[NCPoly]
     order: MonomialOrder
     degree: Optional[Dict[int, int]] = None
-    # 3x3 grid of generator ids (None = entry forced to zero) for quantum
-    # matrices; `vector` lists the space generators in coaction order
+    # 3x3 grid of generator ids (None = entry forced to zero) for quantum matrices
     matrix: Optional[Tuple[Tuple[Optional[int], ...], ...]] = None
-    vector: Optional[Tuple[int, ...]] = None
     _system: Optional[RewriteSystem] = field(
         default=None, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
-        for r in self.relations:
-            used = set()
-            for c in r.terms.values():
-                used |= c.params_used()
-            extra = used - set(self.params)
-            if extra:
-                raise PresentationError(
-                    f"{self.name}: relation uses undeclared parameters {sorted(extra)}"
-                )
         if self.degree is not None:
             for r in self.relations:
                 check_homogeneous(r, self.degree, self.name)
@@ -53,20 +41,15 @@ class Presentation:
             self._system = build_rules(self.relations, self.order, self.table)
         return self._system
 
-    def substitute(self, bindings, name=None) -> "Presentation":
+    def substitute(self, bindings) -> "Presentation":
         return Presentation(
-            name=name or self.name,
+            name=self.name,
             table=self.table,
-            params=self.params,
             relations=[r.substitute_scalars(bindings) for r in self.relations],
             order=self.order,
             degree=self.degree,
             matrix=self.matrix,
-            vector=self.vector,
         )
-
-    def parse(self, text: str) -> NCPoly:
-        return NCPoly.parse(self.table, text)
 
 
 class TensorAlgebra:
@@ -159,11 +142,9 @@ t_DEGREES = {
 def _pres(
     name,
     gens,
-    params,
     rel_texts,
     degree_by_name=None,
     matrix=None,
-    vector=None,
     precedence=None,
 ):
     table = GenTable(gens)
@@ -176,9 +157,6 @@ def _pres(
         mat = tuple(
             tuple(None if n is None else table.gen(n) for n in row) for row in matrix
         )
-    vec = None
-    if vector is not None:
-        vec = tuple(table.gen(n) for n in vector)
     order = (
         MonomialOrder.default(table)
         if precedence is None
@@ -187,12 +165,10 @@ def _pres(
     return Presentation(
         name=name,
         table=table,
-        params=frozenset(params),
         relations=rels,
         order=order,
         degree=degree,
         matrix=mat,
-        vector=vec,
     )
 
 
@@ -278,27 +254,22 @@ _ANSATZ_VARIANT_RELS = [
 _BUILTINS = {
     "classical_R": dict(
         gens=_X_GENS,
-        params={"s"},
         rel_texts=[
             "x1*x2 - x2*x1 - s*x3*x3",
             "x1*x3 - x3*x1",
             "x2*x3 - x3*x2",
         ],
-        vector=_X_GENS,
     ),
     "xspace": dict(
         gens=_X_GENS,
-        params={"u", "s"},
         rel_texts=[
             "x1*x2 - u^2*x2*x1 - s*x3*x3",
             "x1*x3 - u*x3*x1",
             "x2*x3 - u^(-1)*x3*x2",
         ],
-        vector=_X_GENS,
     ),
     "xispace": dict(
         gens=_XI_GENS,
-        params={"u"},
         rel_texts=[
             "xi1*xi1",
             "xi2*xi2",
@@ -307,51 +278,41 @@ _BUILTINS = {
             "xi1*xi3 + u*xi3*xi1",
             "xi2*xi3 + u^(-1)*xi3*xi2",
         ],
-        vector=_XI_GENS,
     ),
     "TT7": dict(
         gens=T_GENS,
-        params={"u", "s"},
         rel_texts=_TT7_RELS,
         degree_by_name=T_DEGREES,
         matrix=_T7_MATRIX,
     ),
     "TDinv": dict(
         gens=T_GENS + ["Dinv"],
-        params={"u"},
         rel_texts=_TDINV_RELS,
         degree_by_name={**T_DEGREES, "Dinv": 0},
         matrix=_T7_MATRIX,
     ),
     "tdinv": dict(
         gens=t_GENS + ["dinv"],
-        params={"u"},
         rel_texts=_tdinv_RELS,
         degree_by_name={**t_DEGREES, "dinv": 0},
         matrix=_t_matrix("t"),
     ),
     "xspace_generic_q": dict(
         gens=_X_GENS,
-        params={"u", "s", "q"},
         rel_texts=[
             "x1*x2 - q*x2*x1 - s*x3*x3",
             "x1*x3 - u*x3*x1",
             "x2*x3 - u^(-1)*x3*x2",
         ],
-        vector=_X_GENS,
     ),
     "ansatz_xi": dict(
         gens=_XI_GENS,
-        params={"u", "s", "q", "k", "c21", "lam", "lam12", "mu", "mu12"},
         rel_texts=_ANSATZ_RELS,
-        vector=_XI_GENS,
         precedence=["xi3", "xi2", "xi1"],
     ),
     "ansatz_xi3sq_variant": dict(
         gens=_XI_GENS,
-        params={"u", "s", "q", "lam", "mu"},
         rel_texts=_ANSATZ_VARIANT_RELS,
-        vector=_XI_GENS,
         precedence=["xi3", "xi2", "xi1"],
     ),
 }
@@ -458,7 +419,7 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
                 raise ParseError(f"bad degree value {val!r}", span) from None
             degree_lines.append((gen_name, d, span))
         elif head == "rel":
-            rel_lines.append((rest, lineno, line.index("rel") + 4))
+            rel_lines.append((rest, lineno, len(line) - len(rest)))
         else:
             raise ParseError(f"unknown directive {head!r}", span)
 
@@ -479,33 +440,30 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
 
     relations = []
     for rel_text, lineno, col0 in rel_lines:
+        # col0 is rel_text's 0-based offset; the tokenizer counts the spaces it skips
         lhs_text, eq, rhs_text = rel_text.partition("=")
-        lhs = parse_poly_text(lhs_text.strip(), table, file, lineno, col0)
+        lhs = parse_poly_text(lhs_text, table, file, lineno, col0)
         if eq:
             rhs = parse_poly_text(
-                rhs_text.strip(), table, file, lineno, col0 + len(lhs_text) + 1
+                rhs_text, table, file, lineno, col0 + len(lhs_text) + 1
             )
             rel = lhs - rhs
         else:
             rel = lhs
-        for c in rel.terms.values():
-            extra = c.params_used() - set(params)
-            if extra:
-                raise ParseError(
-                    f"relation uses undeclared parameters {sorted(extra)}",
-                    SourceSpan(file, lineno, col0),
-                )
+        span = SourceSpan(file, lineno, col0 + 1)
+        extra = set().union(*(c.params_used() for c in rel.terms.values())) - set(params)
+        if extra:
+            raise ParseError(f"relation uses undeclared parameters {sorted(extra)}", span)
         if degree is not None:
             try:
                 check_homogeneous(rel, degree, name)
             except PresentationError as e:
-                raise ParseError(str(e), SourceSpan(file, lineno, col0)) from None
+                raise ParseError(str(e), span) from None
         relations.append(rel)
 
     return Presentation(
         name=name,
         table=table,
-        params=frozenset(params),
         relations=relations,
         order=MonomialOrder.default(table),
         degree=degree,

@@ -73,8 +73,8 @@ class RewriteSystem:
         terms = rule.rhs.terms.items()
         return NCPoly(self.table, {prefix + rw + suffix: rc for rw, rc in terms})
 
-    def normal_form(self, p: NCPoly, rightmost: bool = False) -> NCPoly:
-        """Exhaustive reduction; leftmost-outermost by default.
+    def normal_form(self, p: NCPoly) -> NCPoly:
+        """Exhaustive reduction, leftmost-outermost.
 
         Terminates because every rule strictly decreases the deg-lex order.
         """
@@ -84,7 +84,7 @@ class RewriteSystem:
         work: List[Tuple[Word, sc.Scalar]] = list(p.terms.items())
         while work:
             w, c = work.pop()
-            m = self._find(w, rightmost)
+            m = self.find_redex(w)
             if m is None:
                 out[w] = out.get(w, sc.ZERO) + c
             else:
@@ -94,18 +94,6 @@ class RewriteSystem:
                 for rw, rc in rule.rhs.terms.items():
                     work.append((prefix + rw + suffix, c * rc))
         return NCPoly(self.table, out)
-
-    def _find(self, w, rightmost):
-        if not rightmost:
-            return self.find_redex(w)
-        for pos in range(len(w) - 1, -1, -1):
-            i = self._match_at(w, pos)
-            if i is not None:
-                return pos, i
-        return None
-
-    def is_normal_word(self, w: Word) -> bool:
-        return self.find_redex(w) is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from qwh import coaction
 from qwh import scalar as sc
 from qwh.cli import run_suite
 from qwh.coaction import (
+    CoactionError,
     MixedAlgebra,
     ansatz_check,
     ansatz_solve,
@@ -21,7 +22,7 @@ from qwh.coaction import (
 )
 from qwh.exprparse import parse_scalar_text
 from qwh.freealg import NCPoly
-from qwh.presentations import builtin
+from qwh.presentations import builtin, parse_presentation
 from qwh.quantumgroup import group_presentation
 from qwh.rewrite import build_rules, diamond_check
 from qwh.scalar import Scalar
@@ -37,6 +38,20 @@ def test_coact_on_generators_is_matrix_times_vector():
     img = coact(NCPoly.parse(XSPACE.table, "x3"), GROUP, XSPACE)
     # last row of the quantum matrix has a single entry
     assert img == NCPoly.parse(mixed.table, "T33*x3")
+
+
+def test_coact_on_each_generator_is_its_matrix_row():
+    # the space's generators, in table order, index the matrix columns
+    mixed = MixedAlgebra(GROUP, XSPACE)
+    for x, row in [("x1", "T11*x1 + T12*x2 + T13*x3"), ("x2", "T21*x1 + T22*x2 + T23*x3")]:
+        img = coact(NCPoly.parse(XSPACE.table, x), GROUP, XSPACE)
+        assert img == NCPoly.parse(mixed.table, row)
+
+
+def test_a_space_of_another_size_has_no_coaction():
+    plane = parse_presentation("algebra plane\ngenerators a > b\nrel a*b = b*a")
+    with pytest.raises(CoactionError):
+        MixedAlgebra(GROUP, plane)
 
 
 def test_normal_words_put_group_letters_before_space_letters():

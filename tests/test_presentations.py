@@ -2,6 +2,7 @@
 
 import pytest
 
+from qwh.diffcalc import wz_relations
 from qwh.exprparse import ParseError
 from qwh.freealg import NCPoly
 from qwh.presentations import (
@@ -11,6 +12,7 @@ from qwh.presentations import (
     parse_presentation,
     transcribed_T_constraints,
 )
+from qwh.quantumgroup import rtt_relations
 from qwh.rewrite import build_rules, diamond_check
 
 
@@ -21,6 +23,35 @@ def test_every_builtin_loads_and_is_quadratic_at_most_cubic():
         assert pres.relations
         for rel in pres.relations:
             assert rel.max_word_len() <= 3
+
+
+def _params_used(pres):
+    return set().union(*[c.params_used() for r in pres.relations for c in r.terms.values()])
+
+
+#: the parameters each presentation's relations use, symbolically
+PARAMS_USED = {
+    "classical_R": {"s"},
+    "xspace": {"u", "s"},
+    "xispace": {"u"},
+    "TT7": {"u", "s"},
+    "TDinv": {"u"},
+    "tdinv": {"u"},
+    "xspace_generic_q": {"u", "s", "q"},
+    "ansatz_xi": {"k", "c21", "lam", "lam12", "mu", "mu12"},
+    "ansatz_xi3sq_variant": {"lam", "mu"},
+    "rtt7": {"u", "s"},
+    "rtt9": {"u", "s"},
+    "wz": {"u", "s"},
+    "wz_generic_q": {"u", "s", "q"},
+}
+
+
+def test_parameter_census():
+    built = [builtin(name) for name in BUILTIN_NAMES]
+    built += [rtt_relations(7), rtt_relations(9)]
+    built += [wz_relations(), wz_relations(generic_q=True)]
+    assert {pres.name: _params_used(pres) for pres in built} == PARAMS_USED
 
 
 def test_xspace_has_q_substituted():
@@ -93,17 +124,24 @@ def test_dsl_round_trip():
     assert out == NCPoly.parse(pres.table, "u*b*a")
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "generators a > b\nrel a*b = b*a",          # missing algebra line
-        "algebra t\nrel a*b = b*a",                 # missing generators
-        "algebra t\ngenerators a > b\nrel a*zz",    # unknown generator
-        "algebra t\nparams nope\ngenerators a",     # unknown parameter
-        "algebra t\ngenerators a\nfrobnicate x",    # unknown directive
-        "algebra t\ngenerators a > a",             # duplicate generator
-    ],
-)
+#: each malformed text and the line:column its error names
+DSL_ERROR_SPANS = {
+    "generators a > b\nrel a*b = b*a": "1:1",          # missing algebra line
+    "algebra t\nrel a*b = b*a": "1:1",                 # missing generators
+    "algebra t\ngenerators a > b\nrel a*zz": "3:7",    # unknown generator
+    "algebra t\ngenerators a > b\nrel   a*zz": "3:9",
+    "algebra t\ngenerators a > b\nrel a*b = u*zz": "3:13",
+    "algebra t\nparams nope\ngenerators a": "2:1",     # unknown parameter
+    "algebra t\ngenerators a\nfrobnicate x": "3:1",    # unknown directive
+    "algebra t\ngenerators a > a": "2:1",             # duplicate generator
+    # relation-level errors point at the relation's first column
+    "algebra t\ngenerators a > b\ndegree a = 1\nrel a*b = b": "4:5",
+    "algebra t\nparams u\ngenerators a > b\n  rel a*b = s*b*a": "4:7",
+}
+
+
+@pytest.mark.parametrize("bad", list(DSL_ERROR_SPANS))
 def test_dsl_errors_carry_spans(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_presentation(bad)
+    assert str(exc.value.span) == f"<presentation>:{DSL_ERROR_SPANS[bad]}"

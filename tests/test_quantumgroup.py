@@ -65,8 +65,9 @@ def test_intertwiner_for_both_groups():
 
 
 def test_group_systems_are_confluent():
-    for which in ("H8", "H10"):
-        assert diamond_check(group_system(which)).ok
+    for bindings in (None, {"u": Fraction(2), "s": Fraction(3)}):
+        for which in ("H8", "H10"):
+            assert diamond_check(group_system(which, bindings)).ok, (which, bindings)
 
 
 def test_determinant_is_group_like_pattern():

@@ -164,6 +164,13 @@ def test_json_output_validates_and_is_deterministic(tmp_path):
     assert payload["status"] == PASS
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unwritable_out_path_exit_two(tmp_path, fmt):
+    out = str(tmp_path / "missing" / "r.json")
+    res = run(["check", "--suite", "ybe", "--format", fmt, "--out", out])
+    _assert_one_line_error(res, f"cannot write the report to {out!r}")
+
+
 def test_text_and_json_carry_identical_item_sets():
     text = run(["check", "--suite", "eigen"]).output
     blob = json.loads(run(["check", "--suite", "eigen", "--format", "json"]).output)
@@ -221,6 +228,15 @@ def test_normalize_bad_input_exit_two(tmp_path):
     f.write_text("algebra dup\ngenerators a > a\n")
     _assert_one_line_error(
         run(["normalize", "-a", str(f), "-e", "a"]), "dup.alg:2:1: duplicate generator 'a'"
+    )
+
+
+def test_normalize_undeclared_parameter_exit_two_with_span(tmp_path):
+    f = tmp_path / "p.alg"
+    f.write_text("algebra p\nparams u\ngenerators a > b\nrel a*b = s*b*a\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "a"]),
+        "p.alg:4:5: relation uses undeclared parameters ['s']",
     )
 
 

@@ -75,13 +75,26 @@ def test_normal_form_annihilates_the_ideal(p):
 def test_leftmost_and_rightmost_strategies_agree(p, q):
     # confluence makes the reduction strategy irrelevant
     prod = p * q
-    assert XSYS.normal_form(prod) == XSYS.normal_form(prod, rightmost=True)
+    assert XSYS.normal_form(prod) == _rightmost_normal_form(XSYS, prod)
+
+
+def _rightmost_normal_form(system, p):
+    """Exhaustive reduction that always rewrites the rightmost redex, found
+    by a scan over every rule."""
+    out = NCPoly.zero(system.table)
+    for w, c in p.terms.items():
+        m = _scanned_redex(system, w, rightmost=True)
+        if m is None:
+            out = out + NCPoly.word(system.table, w, c)
+        else:
+            out = out + _rightmost_normal_form(system, system.rewrite_word_once(w, *m) * c)
+    return out
 
 
 def test_normal_words_avoid_leading_words():
     for rule in XSYS.rules:
-        assert not XSYS.is_normal_word(rule.lhs)
-    assert XSYS.is_normal_word(())
+        assert XSYS.find_redex(rule.lhs) is not None
+    assert XSYS.find_redex(()) is None
 
 
 def test_builtin_space_systems_are_confluent():
@@ -158,7 +171,7 @@ def _normal_word_counts(system, top):
     for _ in range(top):
         layer = [
             w + (g,) for w in layer for g in range(len(system.table))
-            if system.is_normal_word(w + (g,))
+            if system.find_redex(w + (g,)) is None
         ]
         counts.append(len(layer))
     return counts
@@ -192,10 +205,10 @@ def test_normal_word_counts_are_flat(name, counts, bindings):
 
 # -- redex lookup: the lhs index against a scan over every rule -------------
 
-def _scanned_redex(system, w):
-    """Leftmost position holding some lhs, and there the longest matching
-    lhs of lowest rule index, found by trying every rule."""
-    for pos in range(len(w)):
+def _scanned_redex(system, w, rightmost=False):
+    """Leftmost (or rightmost) position holding some lhs, and there the
+    longest matching lhs of lowest rule index, found by trying every rule."""
+    for pos in reversed(range(len(w))) if rightmost else range(len(w)):
         hits = [
             (-len(r.lhs), i)
             for i, r in enumerate(system.rules)

@@ -89,10 +89,10 @@ def test_a_repeated_hopf_check_reduces_no_part_word_again(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_system_nf(self, p, rightmost=False):
+    def counting_system_nf(self, p):
         if inside:
             part_reductions.append(p)
-        return system_nf(self, p, rightmost)
+        return system_nf(self, p)
 
     monkeypatch.setattr(TensorAlgebra, "normal_form", counting_tensor_nf)
     monkeypatch.setattr(RewriteSystem, "normal_form", counting_system_nf)
