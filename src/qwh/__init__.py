@@ -67,7 +67,6 @@ from .quantumgroup import (
 )
 from .report import ERROR, FAIL, PASS, TOOLKIT_VERSION, CheckItem, CheckReport
 from .rewrite import (
-    CompletionFailure,
     RewriteSystem,
     build_rules,
     complete,

@@ -16,7 +16,7 @@ import click
 from . import scalar as sc
 from .coaction import ansatz_check, comodule_check, constraint_span_check
 from .coaction import ansatz_solve
-from .diffcalc import apply_derivative, twisted_leibniz_check, wz_confluence
+from .diffcalc import DiffCalcError, apply_derivative, twisted_leibniz_check, wz_confluence
 from .exprparse import ParseError, parse_poly_text
 from .linalg import (
     eigenspace_identification,
@@ -120,8 +120,9 @@ class CLIError(Exception):
 
 
 #: what input from the command line can raise: malformed text, a point
-#: where a coefficient's denominator vanishes, an inconsistent presentation
-_INPUT_ERRORS = (CLIError, ParseError, sc.SubstitutionError, RewriteError)
+#: where a coefficient's denominator vanishes, an inconsistent presentation,
+#: a derivative index out of range
+_INPUT_ERRORS = (CLIError, ParseError, sc.SubstitutionError, RewriteError, DiffCalcError)
 
 
 def _fail(message) -> NoReturn:
@@ -269,8 +270,6 @@ def derivative(index, expr, params):
         poly = parse_poly_text(expr, xspace.table)
         if bindings:
             poly = poly.substitute_scalars(bindings)
-        if index not in (1, 2, 3):
-            raise CLIError(f"derivative index must be 1..3, got {index}")
         out = apply_derivative(index, poly, bindings=bindings)
     except _INPUT_ERRORS as exc:
         _fail(exc)

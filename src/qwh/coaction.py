@@ -105,15 +105,12 @@ def comodule_check(
     """Every space relation must map to zero under the coaction, modulo the
     group relations, the space relations and the commutation of the two."""
     suite = suite or f"comodule({space.name},{group.name})"
-    items = []
-    for rel, residual, mixed in comodule_residuals(space, group):
-        items.append(
-            CheckItem(
-                label=f"coaction preserves {rel.render(space.order)} = 0",
-                passed=residual.is_zero(),
-                residual=None if residual.is_zero() else residual.render(mixed.order),
-            )
+    items = [
+        CheckItem.all_zero(
+            f"coaction preserves {rel.render(space.order)} = 0", [residual], mixed.order
         )
+        for rel, residual, mixed in comodule_residuals(space, group)
+    ]
     return CheckReport.from_items(suite, items)
 
 
@@ -217,39 +214,37 @@ def ansatz_bucket_equations(
     return equations
 
 
+def _solvable(pending: List[Tuple[str, Scalar]]) -> Optional[Tuple[str, Scalar]]:
+    """(unknown, value) from the first pending equation that is linear in
+    that unknown alone, unknowns taken in priority order ANSATZ_UNKNOWNS."""
+    for target in ANSATZ_UNKNOWNS:
+        for _, c in pending:
+            if _unknowns_in(c) != [target]:
+                continue
+            const = c.substitute({target: 0})
+            slope = c.substitute({target: 1}) - const
+            if slope.is_zero() or _unknowns_in(slope) or _unknowns_in(const):
+                continue  # not linear in the target alone
+            return target, -const / slope
+    return None
+
+
 def _eliminate(
     equations: List[Tuple[str, Scalar]]
 ) -> Tuple[Dict[str, Scalar], List[Tuple[str, Scalar]], List[str]]:
-    """Deterministic elimination: repeatedly solve equations that are linear
-    in a single unknown (priority order ANSATZ_UNKNOWNS) and substitute it
-    into the pending equations that contain it."""
+    """Deterministic elimination: repeatedly solve an equation that is
+    linear in a single unknown and substitute the value into the pending
+    equations that contain it, which leaves none containing it."""
     pending = [(label, c) for label, c in equations if not c.is_zero()]
     solved: Dict[str, Scalar] = {}
-    progress = True
-    while progress:
-        progress = False
-        for target in ANSATZ_UNKNOWNS:
-            if target in solved:
-                continue
-            for label, c in pending:
-                if _unknowns_in(c) != [target]:
-                    continue
-                const = c.substitute({target: 0})
-                slope = c.substitute({target: 1}) - const
-                if slope.is_zero() or _unknowns_in(slope) or _unknowns_in(const):
-                    continue  # not linear in the target alone
-                solved[target] = -const / slope
-                new_pending = []
-                for lab2, c2 in pending:
-                    if target in _unknowns_in(c2):
-                        c2 = c2.substitute({target: solved[target]})
-                    if not c2.is_zero():
-                        new_pending.append((lab2, c2))
-                pending = new_pending
-                progress = True
-                break
-            if progress:
-                break
+    while found := _solvable(pending):
+        target, value = found
+        solved[target] = value
+        substituted = (
+            (label, c.substitute({target: value}) if target in _unknowns_in(c) else c)
+            for label, c in pending
+        )
+        pending = [(label, c) for label, c in substituted if not c.is_zero()]
     witnesses = [
         f"{label}: residual {c}" for label, c in pending if not _unknowns_in(c)
     ]

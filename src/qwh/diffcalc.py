@@ -16,7 +16,7 @@ from typing import List
 from .freealg import GenTable, MonomialOrder, NCPoly
 from .linalg import Matrix, involution_check, kron, rhat_builtin
 from .memo import memoised
-from .presentations import Presentation, builtin
+from .presentations import X_DEGREES, X_GENS, XI_GENS, Presentation, builtin
 from .report import CheckItem, CheckReport
 from .rewrite import RewriteSystem, diamond_check
 
@@ -26,14 +26,13 @@ class DiffCalcError(Exception):
 
 
 _D_GENS = ["d1", "d2", "d3"]
-_X_GENS = ["x1", "x2", "x3"]
-_XI_GENS = ["xi1", "xi2", "xi3"]
 
-#: grading on the calculus, dual between variables and derivatives
+#: grading on the calculus: a one-form has its variable's degree, and a
+#: derivative the opposite one
 WZ_DEGREES = {
-    "x1": 1, "x2": -1, "x3": 0,
-    "xi1": 1, "xi2": -1, "xi3": 0,
-    "d1": -1, "d2": 1, "d3": 0,
+    name: sign * d
+    for names, sign in ((X_GENS, 1), (XI_GENS, 1), (_D_GENS, -1))
+    for name, d in zip(names, X_DEGREES)
 }
 
 
@@ -51,7 +50,7 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         raise DiffCalcError(
             "the deformation matrix must be involutive (its inverse is itself)"
         )
-    table = GenTable(_D_GENS + _X_GENS + _XI_GENS)
+    table = GenTable(_D_GENS + X_GENS + XI_GENS)
     order = MonomialOrder.default(table)
 
     rels: List[NCPoly] = []
@@ -67,7 +66,7 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
     zero, one = NCPoly.zero(table), NCPoly.one(table)
     x, xi, der = (
         Matrix([[NCPoly.generator(table, table.gen(n))] for n in names], zero)
-        for names in (_X_GENS, _XI_GENS, _D_GENS)
+        for names in (X_GENS, XI_GENS, _D_GENS)
     )
     R = R.map(lambda c: NCPoly.constant(table, c), zero)
     three = range(3)
@@ -83,13 +82,12 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         for l in three:
             rels += [x_xi[3 * k + l, 0], d_xi[3 * k + l, 0], d_x[3 * l + k, 0]]
 
-    degree = {table.gen(n): d for n, d in WZ_DEGREES.items()}
     return Presentation(
         name="wz_generic_q" if generic_q else "wz",
         table=table,
         relations=rels,
         order=order,
-        degree=None if generic_q else degree,
+        degree={table.gen(n): d for n, d in WZ_DEGREES.items()},
     )
 
 
@@ -121,7 +119,7 @@ def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
         raise DiffCalcError(f"{p.table} has letters outside the calculus")
     lifted = p.relabel(table, to_wz)
     image = system.normal_form(NCPoly.word(table, (table.gen(f"d{i}"),)) * lifted)
-    xi_gids = {table.gen(n) for n in _XI_GENS}
+    xi_gids = {table.gen(n) for n in XI_GENS}
     if any(g in xi_gids for w in image.terms for g in w):
         raise DiffCalcError("one-form letter appeared while differentiating")
     # words keeping a derivative letter die: the table of p has none

@@ -98,11 +98,10 @@ class _Parser:
         self.i += 1
         return t
 
-    def expect_op(self, op):
+    def expect_close(self):
         t = self.next()
-        if t.kind != "op" or t.text != op:
-            raise ParseError(f"expected {op!r}, found {t.text or 'end'!r}", self.span(t))
-        return t
+        if t.kind != "op" or t.text != ")":
+            raise ParseError(f"expected ')', found {t.text or 'end'!r}", self.span(t))
 
     def parse(self):
         v = self.expr()
@@ -187,7 +186,7 @@ class _Parser:
                 t2 = self.next()
             if t2.kind != "int":
                 raise ParseError("expected integer exponent", self.span(t2))
-            self.expect_op(")")
+            self.expect_close()
             return sign * int(t2.text)
         raise ParseError("expected exponent", self.span(t))
 
@@ -199,7 +198,7 @@ class _Parser:
             return self._name(t)
         if t.kind == "op" and t.text == "(":
             v = self.expr()
-            self.expect_op(")")
+            self.expect_close()
             return v
         if t.kind == "op" and t.text == "-":
             return -self.factor()

@@ -236,9 +236,6 @@ class NCPoly:
 
         return self.map_words(table, image)
 
-    def max_word_len(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     # -- rendering --------------------------------------------------------
 
     def render(self, ord: Optional[MonomialOrder] = None) -> str:

@@ -126,37 +126,31 @@ def check_homogeneous(p: NCPoly, degree: Dict[int, int], where="relation"):
 # built-in presentations
 # ---------------------------------------------------------------------------
 
-_X_GENS = ["x1", "x2", "x3"]
-_XI_GENS = ["xi1", "xi2", "xi3"]
+X_GENS = ["x1", "x2", "x3"]
+XI_GENS = ["xi1", "xi2", "xi3"]
 T_GENS = ["T11", "T12", "T13", "T21", "T22", "T23", "T33"]
 t_GENS = ["t11", "t12", "t13", "t21", "t22", "t23", "t31", "t32", "t33"]
 
-T_DEGREES = {"T11": 0, "T12": 2, "T13": 1, "T21": -2, "T22": 0, "T23": -1, "T33": 0}
-t_DEGREES = {
-    "t11": 0, "t12": 2, "t13": 1,
-    "t21": -2, "t22": 0, "t23": -1,
-    "t31": -1, "t32": 1, "t33": 0,
-}
+#: the grading of the coordinates x1, x2, x3; the coaction keeps it when
+#: the matrix entry in row i, column j has degree X_DEGREES[i] - X_DEGREES[j]
+X_DEGREES = (1, -1, 0)
 
 
-def _pres(
-    name,
-    gens,
-    rel_texts,
-    degree_by_name=None,
-    matrix=None,
-    precedence=None,
-):
+def _pres(name, gens, rel_texts, matrix=None, precedence=None):
     table = GenTable(gens)
     rels = [NCPoly.parse(table, t) for t in rel_texts]
-    degree = None
-    if degree_by_name is not None:
-        degree = {table.gen(n): d for n, d in degree_by_name.items()}
-    mat = None
+    degree = mat = None
     if matrix is not None:
         mat = tuple(
             tuple(None if n is None else table.gen(n) for n in row) for row in matrix
         )
+        grid = {
+            g: X_DEGREES[i] - X_DEGREES[j]
+            for i, row in enumerate(mat)
+            for j, g in enumerate(row)
+        }
+        # the determinant inverse, off the grid, has degree 0
+        degree = {g: grid.get(g, 0) for g in range(len(table))}
     order = (
         MonomialOrder.default(table)
         if precedence is None
@@ -170,10 +164,6 @@ def _pres(
         degree=degree,
         matrix=mat,
     )
-
-
-def _t_matrix(prefix):
-    return [[f"{prefix}{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
 _T7_MATRIX = [
@@ -253,7 +243,7 @@ _ANSATZ_VARIANT_RELS = [
 
 _BUILTINS = {
     "classical_R": dict(
-        gens=_X_GENS,
+        gens=X_GENS,
         rel_texts=[
             "x1*x2 - x2*x1 - s*x3*x3",
             "x1*x3 - x3*x1",
@@ -261,7 +251,7 @@ _BUILTINS = {
         ],
     ),
     "xspace": dict(
-        gens=_X_GENS,
+        gens=X_GENS,
         rel_texts=[
             "x1*x2 - u^2*x2*x1 - s*x3*x3",
             "x1*x3 - u*x3*x1",
@@ -269,7 +259,7 @@ _BUILTINS = {
         ],
     ),
     "xispace": dict(
-        gens=_XI_GENS,
+        gens=XI_GENS,
         rel_texts=[
             "xi1*xi1",
             "xi2*xi2",
@@ -282,23 +272,20 @@ _BUILTINS = {
     "TT7": dict(
         gens=T_GENS,
         rel_texts=_TT7_RELS,
-        degree_by_name=T_DEGREES,
         matrix=_T7_MATRIX,
     ),
     "TDinv": dict(
         gens=T_GENS + ["Dinv"],
         rel_texts=_TDINV_RELS,
-        degree_by_name={**T_DEGREES, "Dinv": 0},
         matrix=_T7_MATRIX,
     ),
     "tdinv": dict(
         gens=t_GENS + ["dinv"],
         rel_texts=_tdinv_RELS,
-        degree_by_name={**t_DEGREES, "dinv": 0},
-        matrix=_t_matrix("t"),
+        matrix=[t_GENS[0:3], t_GENS[3:6], t_GENS[6:9]],
     ),
     "xspace_generic_q": dict(
-        gens=_X_GENS,
+        gens=X_GENS,
         rel_texts=[
             "x1*x2 - q*x2*x1 - s*x3*x3",
             "x1*x3 - u*x3*x1",
@@ -306,12 +293,12 @@ _BUILTINS = {
         ],
     ),
     "ansatz_xi": dict(
-        gens=_XI_GENS,
+        gens=XI_GENS,
         rel_texts=_ANSATZ_RELS,
         precedence=["xi3", "xi2", "xi1"],
     ),
     "ansatz_xi3sq_variant": dict(
-        gens=_XI_GENS,
+        gens=XI_GENS,
         rel_texts=_ANSATZ_VARIANT_RELS,
         precedence=["xi3", "xi2", "xi1"],
     ),
@@ -378,12 +365,14 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
 
     Lines: `algebra NAME`, `params u s q`, `generators a > b > c`,
     `degree GEN = INT`, `rel EXPR = EXPR` (or `rel EXPR`), `#` comments.
+    The first three occur once each, and a generator has one degree line.
     """
     name = None
     params: List[str] = []
     gens: List[str] = []
     degree_lines: List[Tuple[str, int, SourceSpan]] = []
     rel_lines: List[Tuple[str, int, int]] = []
+    once = set()  # the once-only directives seen
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -394,6 +383,10 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
         span = SourceSpan(file, lineno, indent + 1)
         head, _, rest = stripped.partition(" ")
         rest = rest.strip()
+        if head in once:
+            raise ParseError(f"second `{head}` line", span)
+        if head in ("algebra", "params", "generators"):
+            once.add(head)
         if head == "algebra":
             if not rest:
                 raise ParseError("missing algebra name", span)
@@ -417,6 +410,8 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
                 d = int(val)
             except ValueError:
                 raise ParseError(f"bad degree value {val!r}", span) from None
+            if any(gen_name == g for g, _, _ in degree_lines):
+                raise ParseError(f"second degree line for {gen_name!r}", span)
             degree_lines.append((gen_name, d, span))
         elif head == "rel":
             rel_lines.append((rest, lineno, len(line) - len(rest)))

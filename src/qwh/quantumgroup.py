@@ -5,7 +5,7 @@ embedding of the 7-generator quantum group into the 9-generator one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import List, Optional, Tuple
 
@@ -20,13 +20,7 @@ from .presentations import (
     transcribed_T_constraints,
 )
 from .report import CheckItem, CheckReport
-from .rewrite import (
-    CompletionFailure,
-    RewriteSystem,
-    build_rules,
-    complete,
-    interreduce_relations,
-)
+from .rewrite import RewriteError, RewriteSystem, complete, interreduce_relations
 from .scalar import Scalar
 
 
@@ -102,13 +96,12 @@ def group_system(which: str, bindings=None) -> RewriteSystem:
     bounded at word length 3)."""
     def make():
         pres = group_presentation(which, bindings)
-        sys0 = pres.rewrite_system()
-        done = complete(sys0, max_word_len=3)
-        if isinstance(done, CompletionFailure):
+        try:
+            return complete(pres.rewrite_system(), max_word_len=3)
+        except RewriteError:
             raise QuantumGroupError(
                 f"{which} matrix relations do not complete within word length 3"
-            )
-        return done
+            ) from None
 
     return memoised(("system", which), bindings, make)
 
@@ -220,8 +213,6 @@ def determinant(which: str, bindings=None) -> NCPoly:
     """The quantum determinant of H8 or H10, transcribed (D7 as the
     two-term product form expanded, d9 as the printed six-term sum).
     Memoised like `builtin`."""
-    if which not in _DET_TEXTS:
-        raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
     return specialised(
         ("det", which),
         bindings,
@@ -233,8 +224,6 @@ def determinant(which: str, bindings=None) -> NCPoly:
 def adjugate(which: str, bindings=None) -> Matrix:
     """The printed inverse matrix without its determinant-inverse factor.
     Memoised like `builtin`."""
-    if which not in _ADJ_TEXTS:
-        raise QuantumGroupError(f"unknown algebra {which!r}; expected H8 or H10")
 
     def make():
         table = group_presentation(which).table
@@ -249,15 +238,23 @@ def adjugate(which: str, bindings=None) -> Matrix:
     )
 
 
-def extended_system(which: str, bindings=None) -> RewriteSystem:
-    """Joint rewrite system on the matrix generators plus the determinant
-    inverse: matrix relations lifted to the extended table, plus the
-    commutation relations of the inverse."""
+def extended_presentation(which: str, bindings=None) -> Presentation:
+    """H8 or H10 as one presentation on the matrix generators plus the
+    determinant inverse (listed last): the matrix relations lifted to the
+    extended table, then the commutation relations of the inverse."""
     def make():
         ext = builtin(_EXT[which], bindings)
-        return build_rules(_all_relations(which, bindings), ext.order, ext.table)
+        pres = group_presentation(which, bindings)
+        to_ext = pres.table.gid_map(ext.table)
+        lifted = [r.relabel(ext.table, to_ext) for r in pres.relations]
+        return replace(ext, relations=lifted + ext.relations)
 
     return memoised(("extended", which), bindings, make)
+
+
+def extended_system(which: str, bindings=None) -> RewriteSystem:
+    """The rewrite system of `extended_presentation`."""
+    return extended_presentation(which, bindings).rewrite_system()
 
 
 def inverse_check(which: str, bindings=None) -> CheckReport:
@@ -312,7 +309,7 @@ def det_commutation_derive(which: str, bindings=None) -> CheckReport:
     confirms the determinant is not central."""
     pres = group_presentation(which, bindings)
     system = group_system(which, bindings)
-    ext = builtin(_EXT[which], bindings)
+    ext = extended_presentation(which, bindings)
     det = determinant(which, bindings)
     esys = extended_system(which, bindings)
     dinv = len(ext.table) - 1  # the det-inverse is listed last
@@ -362,12 +359,11 @@ class HopfData:
     antipode is an anti-homomorphism.  The coproduct lands in `doubled`,
     two commuting copies of the extended algebra: the left copy comes
     first in its table, so normal words read the right copy first; reduce
-    there with `doubled.normal_form(p, system, system)`."""
+    there with `doubled.normal_form(p, system, system)`, where `system` is
+    `ext.rewrite_system()`."""
 
+    #: `extended_presentation(which, bindings)`
     ext: Presentation
-    #: the extended rewrite system, `extended_system(which, bindings)`
-    system: RewriteSystem
-    relations: List[NCPoly]
     doubled: TensorAlgebra
     dinv: NCPoly
     coproduct_images: List[NCPoly]
@@ -389,7 +385,7 @@ def hopf_data(which: str, bindings=None) -> HopfData:
     place the antipode S(T) = adjugate x det-inverse is built.  Memoised
     like `group_system`."""
     def make():
-        ext = builtin(_EXT[which], bindings)
+        ext = extended_presentation(which, bindings)
         pres = group_presentation(which, bindings)
         to_ext = pres.table.gid_map(ext.table)
         dinv_gid = len(ext.table) - 1  # the det-inverse is listed last
@@ -430,8 +426,6 @@ def hopf_data(which: str, bindings=None) -> HopfData:
                 antipode_images.append(A[i, j] * dinv)
         return HopfData(
             ext=ext,
-            system=extended_system(which, bindings),
-            relations=_all_relations(which, bindings),
             doubled=doubled,
             dinv=dinv,
             coproduct_images=coproduct_images,
@@ -440,15 +434,6 @@ def hopf_data(which: str, bindings=None) -> HopfData:
         )
 
     return memoised(("hopf", which), bindings, make)
-
-
-def _all_relations(which: str, bindings=None) -> List[NCPoly]:
-    """Matrix relations lifted to the extended table, plus the commutation
-    relations of the determinant inverse."""
-    pres = group_presentation(which, bindings)
-    ext = builtin(_EXT[which], bindings)
-    to_ext = pres.table.gid_map(ext.table)
-    return [r.relabel(ext.table, to_ext) for r in pres.relations] + list(ext.relations)
 
 
 def _is_scalar_matrix(normal_form, P: Matrix, unit: NCPoly) -> bool:
@@ -466,21 +451,11 @@ def _inverse_pair(data: HopfData) -> Tuple[bool, bool]:
     M = generator_matrix(data.ext)
     SM = M.map(data.antipode)
     det = data.antipode(data.dinv)  # S(det-inverse) = det
-    nf = data.system.normal_form
+    nf = data.ext.rewrite_system().normal_form
     return (
         _is_scalar_matrix(nf, M * SM, det * data.dinv),
         _is_scalar_matrix(nf, SM * M, data.dinv * det),
     )
-
-
-def _all_vanish(label: str, normal_form, order: MonomialOrder, polys) -> CheckItem:
-    """Every polynomial has normal form zero; the first residual that does
-    not is the witness, rendered in `order`."""
-    for p in polys:
-        residual = normal_form(p)
-        if not residual.is_zero():
-            return CheckItem(label, False, residual=residual.render(order))
-    return CheckItem(label, True)
 
 
 def hopf_check(which: str, bindings=None) -> CheckReport:
@@ -489,13 +464,13 @@ def hopf_check(which: str, bindings=None) -> CheckReport:
     splits the coproduct, and the antipode composes to the counit through
     the adjugate identity."""
     data = hopf_data(which, bindings)
-    ext, relations, esys = data.ext, data.relations, data.system
+    ext, esys = data.ext, data.ext.rewrite_system()
+    relations = ext.relations
     items = [
-        _all_vanish(
+        CheckItem.all_zero(
             f"coproduct preserves all {len(relations)} relations",
-            lambda p: data.doubled.normal_form(p, esys, esys),
+            (data.doubled.normal_form(data.coproduct(r), esys, esys) for r in relations),
             data.doubled.order,
-            (data.coproduct(r) for r in relations),
         )
     ]
 
@@ -536,20 +511,18 @@ def subalgebra_check(bindings=None) -> CheckReport:
     """The specialization map sends every relation of the 9-generator
     algebra into the ideal of the 7-generator one and commutes with the
     Hopf structure maps on generators."""
-    h8_ext = builtin("TDinv", bindings)
-    h10_ext = builtin("tdinv", bindings)
+    data8 = hopf_data("H8", bindings)
+    data10 = hopf_data("H10", bindings)
+    h8_ext, h10_ext = data8.ext, data10.ext
     # the map t^i_j -> T^i_j, d^{-1} -> D^{-1} renames t11 to T11 and dinv
     # to Dinv; T31 and T32 do not exist, so words holding t31 or t32 die
     embed = h10_ext.table.gid_map(h8_ext.table, str.capitalize)
-    data8 = hopf_data("H8", bindings)
-    data10 = hopf_data("H10", bindings)
-    esys8 = data8.system
+    esys8 = h8_ext.rewrite_system()
     items = [
-        _all_vanish(
-            f"all {len(data10.relations)} relations map into the 7-generator ideal",
-            esys8.normal_form,
+        CheckItem.all_zero(
+            f"all {len(h10_ext.relations)} relations map into the 7-generator ideal",
+            (esys8.normal_form(r.relabel(h8_ext.table, embed)) for r in h10_ext.relations),
             esys8.order,
-            (r.relabel(h8_ext.table, embed) for r in data10.relations),
         ),
         CheckItem(
             "9-generator determinant maps to the 7-generator determinant",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -19,6 +18,16 @@ class CheckItem:
     passed: bool
     residual: Optional[str] = None
     time: float = 0.0
+
+    @staticmethod
+    def all_zero(label: str, polys, order) -> "CheckItem":
+        """Passes when every polynomial is zero; otherwise the first nonzero
+        one, rendered in `order`, is the residual.  `polys` is read only up
+        to that one."""
+        witness = next((p for p in polys if not p.is_zero()), None)
+        if witness is None:
+            return CheckItem(label, True)
+        return CheckItem(label, False, residual=witness.render(order))
 
     @property
     def status(self) -> str:
@@ -78,9 +87,6 @@ class CheckReport:
         if self.message is not None:
             d["message"] = self.message
         return d
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kw)
 
     @staticmethod
     def from_dict(d: dict) -> "CheckReport":

@@ -25,9 +25,8 @@ class RewriteRule:
 class Overlap:
     rule_a: int
     rule_b: int
-    word: Word
-    pos_a: int  # position of lhs_a inside word
-    pos_b: int
+    word: Word  # starts with lhs_a
+    pos_b: int  # position of lhs_b inside word
 
 
 class RewriteSystem:
@@ -188,19 +187,19 @@ def overlaps(sys: RewriteSystem) -> List[Overlap]:
             for k in range(1, max_k):
                 if la[len(la) - k :] == lb[:k]:
                     word = la + lb[k:]
-                    out.append(Overlap(a, b, word, 0, len(la) - k))
+                    out.append(Overlap(a, b, word, len(la) - k))
             # containment: lb strictly inside la
             if a != b and len(lb) < len(la):
                 for pos in range(len(la) - len(lb) + 1):
                     if la[pos : pos + len(lb)] == lb:
-                        out.append(Overlap(a, b, la, 0, pos))
+                        out.append(Overlap(a, b, la, pos))
     # deterministic order
     out.sort(key=lambda o: (sys.order.key(o.word), o.rule_a, o.rule_b, o.pos_b))
     return out
 
 
 def overlap_residual(sys: RewriteSystem, ov: Overlap) -> NCPoly:
-    p1 = sys.rewrite_word_once(ov.word, ov.pos_a, ov.rule_a)
+    p1 = sys.rewrite_word_once(ov.word, 0, ov.rule_a)
     p2 = sys.rewrite_word_once(ov.word, ov.pos_b, ov.rule_b)
     return sys.normal_form(p1) - sys.normal_form(p2)
 
@@ -211,58 +210,44 @@ def _overlap_label(sys: RewriteSystem, ov: Overlap) -> str:
 
 
 def diamond_check(sys: RewriteSystem, suite: str = "diamond") -> CheckReport:
-    items = []
-    for ov in overlaps(sys):
-        res = overlap_residual(sys, ov)
-        items.append(
-            CheckItem(
-                label=_overlap_label(sys, ov),
-                passed=res.is_zero(),
-                residual=None if res.is_zero() else res.render(sys.order),
-            )
+    items = [
+        CheckItem.all_zero(
+            _overlap_label(sys, ov), [overlap_residual(sys, ov)], sys.order
         )
+        for ov in overlaps(sys)
+    ]
     return CheckReport.from_items(suite, items)
 
 
-@dataclass
-class CompletionFailure:
-    system: RewriteSystem
-    pending: List[Overlap]  # overlaps not resolvable within the bound
-
-    @property
-    def ok(self):
-        return False
-
-
-def complete(sys: RewriteSystem, max_word_len: int):
+def complete(sys: RewriteSystem, max_word_len: int) -> RewriteSystem:
     """Bounded Knuth-Bendix style completion.
 
-    Returns a confluent RewriteSystem, or a CompletionFailure carrying the
-    overlaps that could not be processed within the word-length bound.
+    Returns a confluent RewriteSystem, after a round in which every overlap
+    resolved, or raises RewriteError when an overlap or a rule longer than
+    the word-length bound is left.
     """
     if max_word_len < 3:
         raise RewriteError("max_word_len must be at least 3")
     cur = sys
     for _ in range(200):
-        pending: List[Overlap] = []
-        new_relations: List[NCPoly] = []
-        for ov in overlaps(cur):
-            if len(ov.word) > max_word_len:
-                pending.append(ov)
-                continue
-            res = overlap_residual(cur, ov)
-            if not res.is_zero():
-                new_relations.append(res)
+        found = overlaps(cur)
+        new_relations = [
+            res
+            for ov in found
+            if len(ov.word) <= max_word_len
+            and not (res := overlap_residual(cur, ov)).is_zero()
+        ]
         if not new_relations:
+            pending = sum(len(ov.word) > max_word_len for ov in found)
             if pending:
-                return CompletionFailure(cur, pending)
+                raise RewriteError(
+                    f"overlaps longer than {max_word_len} letters left: {pending}"
+                )
             return cur
         all_rel = [
             NCPoly.word(cur.table, r.lhs) - r.rhs for r in cur.rules
         ] + new_relations
-        nxt = build_rules(all_rel, cur.order, cur.table)
-        if any(len(r.lhs) > max_word_len for r in nxt.rules):
-            bad = [o for o in overlaps(nxt) if len(o.word) > max_word_len]
-            return CompletionFailure(nxt, bad)
-        cur = nxt
+        cur = build_rules(all_rel, cur.order, cur.table)
+        if any(len(r.lhs) > max_word_len for r in cur.rules):
+            raise RewriteError(f"a rule longer than {max_word_len} letters")
     raise RewriteError("completion did not stabilize")

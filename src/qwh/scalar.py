@@ -298,10 +298,6 @@ class Scalar:
         f = self.f
         return type(f) is Fraction and not f
 
-    def is_one(self) -> bool:
-        f = self.f
-        return type(f) is Fraction and f == 1
-
     # -- queries ----------------------------------------------------------
 
     def is_rational(self) -> bool:

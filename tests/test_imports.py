@@ -56,6 +56,9 @@ def test_no_unused_imports(path):
 
 ROOT = SRC.parent.parent
 REFERENCE_DIRS = [SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"]
+#: left out of every reference scan: its own reads (`ast.walk`, `ast.parse`)
+#: would credit any definition of the same name
+THIS_FILE = pathlib.Path(__file__).resolve()
 
 
 def _definitions(tree):
@@ -77,17 +80,18 @@ def _definitions(tree):
     return out
 
 
-def _reference_nodes():
-    """Every AST node of every file in `REFERENCE_DIRS`."""
-    for d in REFERENCE_DIRS:
+def _reference_nodes(dirs=REFERENCE_DIRS):
+    """Every AST node of every file in `dirs` but this one."""
+    for d in dirs:
         for path in d.rglob("*.py"):
-            yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if path.resolve() != THIS_FILE:
+                yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
 
 
-def _referenced_names():
+def _referenced_names(dirs):
     """Every name read as a `Name`, an `Attribute` or an import alias."""
     names = set()
-    for n in _reference_nodes():
+    for n in _reference_nodes(dirs):
         if isinstance(n, ast.Name):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
@@ -97,22 +101,42 @@ def _referenced_names():
     return names
 
 
-def test_no_unreferenced_definitions():
-    referenced = _referenced_names()
-    unreferenced = [
+def unreferenced_definitions(src, dirs):
+    """Definitions in the modules of `src` whose (last) name nothing in
+    `dirs` reads.  A method is credited by any read of its bare name."""
+    referenced = _referenced_names(dirs)
+    return [
         f"{path.name}:{line}: {name}"
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(src.glob("*.py"))
         for name, line in _definitions(ast.parse(path.read_text(), filename=str(path)))
         if name.split(".")[-1] not in referenced
     ]
-    assert unreferenced == []
 
 
-def _defaulted_parameters(tree):
-    """(callee name, parameter, positional index or None, line) of each
-    defaulted parameter of a top-level function or of a method of a
-    top-level class.  A method's index skips `self`/`cls` unless it is a
-    staticmethod; a class's `__init__` is called by the class name."""
+def test_no_unreferenced_definitions():
+    assert unreferenced_definitions(SRC, REFERENCE_DIRS) == []
+
+
+def test_a_name_only_this_file_reads_is_unreferenced(tmp_path):
+    # this file reads `walk` (as `ast.walk`), and that read credits nothing
+    (tmp_path / "tree.py").write_text("class Tree:\n    def walk(self):\n        pass\n")
+    (tmp_path / "use.py").write_text("from tree import Tree\n\nTree()\n")
+    dirs = [tmp_path, THIS_FILE.parent]
+    assert unreferenced_definitions(tmp_path, dirs) == ["tree.py:2: Tree.walk"]
+
+
+def _is_dataclass(node):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _signatures(tree):
+    """(callee name, parameters) of each top-level function, of each method
+    of a top-level class (a class's `__init__` is called by the class name)
+    and of each top-level dataclass, whose fields are its `__init__`
+    parameters.  A parameter is (name, positional index or None, default
+    node or None, line); a method's index skips `self`/`cls` unless it is
+    a staticmethod."""
     out = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
@@ -121,6 +145,21 @@ def _defaulted_parameters(tree):
                 for m in node.body
                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
+            if _is_dataclass(node):
+                fields = [
+                    f
+                    for f in node.body
+                    if isinstance(f, ast.AnnAssign)
+                    and not (
+                        isinstance(f.value, ast.Call)
+                        and any(k.arg == "init" for k in f.value.keywords)
+                    )
+                ]
+                out.append(
+                    (node.name, [
+                        (f.target.id, i, f.value, f.lineno) for i, f in enumerate(fields)
+                    ])
+                )
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defs = [(node.name, node)]
         else:
@@ -132,31 +171,32 @@ def _defaulted_parameters(tree):
                 isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
             )
             skip = 1 if bound else 0
-            first = len(positional) - len(a.defaults)
-            out += [
-                (callee, p.arg, i - skip, p.lineno)
-                for i, p in enumerate(positional)
-                if i >= first
+            defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+            params = [
+                (p.arg, i - skip, d, p.lineno)
+                for i, (p, d) in enumerate(zip(positional, defaults))
+                if i >= skip
             ]
-            out += [
-                (callee, p.arg, None, p.lineno)
-                for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                if d is not None
-            ]
+            params += [(p.arg, None, d, p.lineno) for p, d in zip(a.kwonlyargs, a.kw_defaults)]
+            out.append((callee, params))
     return out
+
+
+def _calls(dirs=REFERENCE_DIRS):
+    """(callee last name, call node) of each call in `dirs`."""
+    for n in _reference_nodes(dirs):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name is not None:
+                yield name, n
 
 
 def _set_parameters():
     """(callee last name, keyword or positional index) set at some call; a
     call with `*` or `**` sets everything (index "*")."""
     seen = set()
-    for n in _reference_nodes():
-        if not isinstance(n, ast.Call):
-            continue
-        f = n.func
-        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        if name is None:
-            continue
+    for name, n in _calls():
         if any(isinstance(a, ast.Starred) for a in n.args) or any(
             k.arg is None for k in n.keywords
         ):
@@ -172,12 +212,52 @@ def test_every_defaulted_parameter_is_set_by_some_call():
     unset = [
         f"{path.name}:{line}: {callee}({param})"
         for path in sorted(SRC.glob("*.py"))
-        for callee, param, index, line in _defaulted_parameters(
-            ast.parse(path.read_text(), filename=str(path))
-        )
-        if not {(callee, "*"), (callee, param), (callee, index)} & seen
+        for callee, params in _signatures(ast.parse(path.read_text(), filename=str(path)))
+        for param, index, default, line in params
+        if default is not None
+        and not {(callee, "*"), (callee, param), (callee, index)} & seen
     ]
     assert unset == []
+
+
+def _literal(node):
+    """The repr of a literal expression, or None for any other."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def _passed(call, param, index, default):
+    """The literal a call passes for a parameter (its default when the call
+    omits it), or None when the value is not a literal or not known."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return None
+    for k in call.keywords:
+        if k.arg == param:
+            return _literal(k.value)
+    if index is not None and index < len(call.args):
+        return _literal(call.args[index])
+    return None if default is None else _literal(default)
+
+
+def test_no_argument_is_the_same_literal_at_every_call():
+    # a value every call passes is a constant dressed as a parameter
+    calls = {}
+    for name, call in _calls():
+        calls.setdefault(name, []).append(call)
+    constant = [
+        f"{path.name}:{line}: {callee}({param}) is always {values.pop()}"
+        for path in sorted(SRC.glob("*.py"))
+        for callee, params in _signatures(ast.parse(path.read_text(), filename=str(path)))
+        if callee in calls
+        for param, index, default, line in params
+        for values in [{_passed(c, param, index, default) for c in calls[callee]}]
+        if len(values) == 1 and None not in values
+    ]
+    assert constant == []
 
 
 def _backend_leaks(path):

@@ -128,7 +128,7 @@ def test_rref_pivots_and_rank(M):
     E, pivots = rref(M)
     assert rank(M) == len(pivots)
     for r, c in enumerate(pivots):
-        assert E[r, c].is_one()
+        assert E[r, c] == sc.ONE
         for rr in range(E.rows):
             if rr != r:
                 assert E[rr, c].is_zero()

@@ -138,7 +138,7 @@ def _snapshot(obj):
         return [[_snapshot(e) for e in row] for row in obj.entries]
     if hasattr(obj, "antipode_images"):  # a HopfData; its system is listed apart
         return _snapshot(
-            [obj.relations, obj.coproduct_images, obj.counit_images, obj.antipode_images]
+            [obj.ext.relations, obj.coproduct_images, obj.counit_images, obj.antipode_images]
         )
     if hasattr(obj, "relations"):  # a Presentation
         return _snapshot(obj.relations)

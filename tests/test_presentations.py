@@ -7,7 +7,6 @@ from qwh.exprparse import ParseError
 from qwh.freealg import NCPoly
 from qwh.presentations import (
     BUILTIN_NAMES,
-    T_DEGREES,
     builtin,
     parse_presentation,
     transcribed_T_constraints,
@@ -22,7 +21,7 @@ def test_every_builtin_loads_and_is_quadratic_at_most_cubic():
         assert pres.name == name
         assert pres.relations
         for rel in pres.relations:
-            assert rel.max_word_len() <= 3
+            assert max(len(w) for w in rel.terms) <= 3
 
 
 def _params_used(pres):
@@ -71,9 +70,14 @@ def test_TT7_counts():
     assert len(pres.relations) == 21  # one exchange relation per generator pair
 
 
+#: the u-weight grading of the seven matrix entries
+T_DEGREES = {"T11": 0, "T12": 2, "T13": 1, "T21": -2, "T22": 0, "T23": -1, "T33": 0}
+
+
 def test_degree_homomorphism_consistency():
     # every TT7 relation is homogeneous for the u-weight grading
     pres = builtin("TT7")
+    assert {pres.table.name(g): d for g, d in pres.degree.items()} == T_DEGREES
     for rel in pres.relations:
         degs = {
             sum(T_DEGREES[pres.table.name(g)] for g in w) for w in rel.terms
@@ -134,6 +138,11 @@ DSL_ERROR_SPANS = {
     "algebra t\nparams nope\ngenerators a": "2:1",     # unknown parameter
     "algebra t\ngenerators a\nfrobnicate x": "3:1",    # unknown directive
     "algebra t\ngenerators a > a": "2:1",             # duplicate generator
+    # algebra, params and generators occur once, and each degree once
+    "algebra t\nalgebra s\ngenerators a": "2:1",
+    "algebra t\nparams u\nparams s\ngenerators a": "3:1",
+    "algebra t\ngenerators a > b\n generators c > d": "3:2",
+    "algebra t\ngenerators a\ndegree a = 1\ndegree a = 1": "4:1",
     # relation-level errors point at the relation's first column
     "algebra t\ngenerators a > b\ndegree a = 1\nrel a*b = b": "4:5",
     "algebra t\nparams u\ngenerators a > b\n  rel a*b = s*b*a": "4:7",

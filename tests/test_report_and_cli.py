@@ -33,7 +33,7 @@ def test_report_round_trip():
         params={"u": "2"},
     )
     assert rep.status == FAIL
-    clone = CheckReport.from_dict(json.loads(rep.to_json()))
+    clone = CheckReport.from_dict(json.loads(json.dumps(rep.to_dict())))
     assert clone == rep
 
 
@@ -229,6 +229,29 @@ def test_normalize_bad_input_exit_two(tmp_path):
     _assert_one_line_error(
         run(["normalize", "-a", str(f), "-e", "a"]), "dup.alg:2:1: duplicate generator 'a'"
     )
+
+
+def test_repeated_dsl_header_line_exit_two_with_span(tmp_path):
+    # a second generators line used to replace the first silently
+    f = tmp_path / "g.alg"
+    f.write_text("algebra g\ngenerators a > b\ngenerators c > d\nrel d*c = c*d\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "c*d"]),
+        "g.alg:3:1: second `generators` line",
+    )
+    # and a second params line hid the first one's parameters
+    f = tmp_path / "p.alg"
+    f.write_text("algebra p\nparams u\nparams s\ngenerators a > b\nrel a*b = u*s*b*a\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "a"]), "p.alg:3:1: second `params` line"
+    )
+
+
+def test_derivative_index_out_of_range_exit_two():
+    for index in ("0", "4"):
+        res = run(["d", "-i", index, "-e", "x1"])
+        _assert_one_line_error(res, "")
+        assert res.output == f"error: derivative index must be 1..3, got {index}\n"
 
 
 def test_normalize_undeclared_parameter_exit_two_with_span(tmp_path):

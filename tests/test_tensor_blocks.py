@@ -34,8 +34,9 @@ def joint_system(tensor, first_relations, second_relations):
 def test_doubled_normal_form_matches_joint_system(which, bindings):
     data = hopf_data(which, bindings)
     esys = extended_system(which, bindings)
-    joint = joint_system(data.doubled, data.relations, data.relations)
-    for r in data.relations:
+    relations = data.ext.relations
+    joint = joint_system(data.doubled, relations, relations)
+    for r in relations:
         # the coproduct of each relation (zero in the quotient) and of each
         # of its words (nonzero, so the two normal forms are compared term
         # by term)
