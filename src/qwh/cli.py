@@ -163,9 +163,9 @@ def _load_presentation(name_or_path: str, bindings):
     if name_or_path in BUILTIN_NAMES:
         return builtin(name_or_path, bindings)
     try:
-        with open(name_or_path) as fh:
+        with open(name_or_path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(
             f"{name_or_path!r} is neither a builtin presentation "
             f"({', '.join(BUILTIN_NAMES)}) nor a readable file: {exc}"
@@ -174,14 +174,15 @@ def _load_presentation(name_or_path: str, bindings):
     return pres.substitute(bindings) if bindings else pres
 
 
-def _emit(report_dicts, texts, fmt, out):
+def _emit(reports, fmt, out):
     if fmt == "json":
         import json
 
-        payload = report_dicts[0] if len(report_dicts) == 1 else report_dicts
+        dicts = [r.to_dict() for r in reports]
+        payload = dicts[0] if len(dicts) == 1 else dicts
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        body = "\n".join(texts) + "\n"
+        body = "\n".join(r.render_text() for r in reports) + "\n"
     if not out:
         click.echo(body, nl=False)
         return
@@ -236,7 +237,7 @@ def check(suite, params, generic_q, fmt, out):
         )
 
     reports = [run_suite(name, bindings, generic_q) for name in names]
-    _emit([r.to_dict() for r in reports], [r.render_text() for r in reports], fmt, out)
+    _emit(reports, fmt, out)
     sys.exit(_status_exit([r.status for r in reports]))
 
 

@@ -39,7 +39,9 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}" if span else message)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
+#: a generator or parameter name
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|(\^|\*|/|\+|-|\(|\)))")
 
 
 @dataclass

@@ -333,8 +333,7 @@ def eigenspace_identification(bindings=None) -> CheckReport:
             return CheckReport.from_items("eigen", items)
 
     # neither convention works: report the as-printed failure in detail
-    one = Matrix.identity(R.rows)
-    plus, minus = len(kernel_basis(R - one)), len(kernel_basis(R + one))
+    plus, minus = _eigen_dims(R)
     items = [
         CheckItem(
             f"eigenspace dimensions {{{plus}, {minus}}} = {{6, 3}}",

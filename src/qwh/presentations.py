@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
-from .exprparse import ParseError, SourceSpan, parse_poly_text
+from .exprparse import NAME, ParseError, SourceSpan, parse_poly_text
 from .freealg import AlgebraError, GenTable, MonomialOrder, NCPoly, Word
 from .memo import specialised
 from .rewrite import RewriteSystem, build_rules
@@ -400,6 +400,9 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
             gens = [g.strip() for g in rest.split(">")]
             if any(not g for g in gens):
                 raise ParseError("malformed generator precedence list", span)
+            bad = next((g for g in gens if not NAME.fullmatch(g)), None)
+            if bad is not None:
+                raise ParseError(f"generator {bad!r} is not a name ({NAME.pattern})", span)
             dup = next((g for i, g in enumerate(gens) if g in gens[:i]), None)
             if dup is not None:
                 raise ParseError(f"duplicate generator {dup!r}", span)

@@ -1,4 +1,5 @@
-"""Structured pass/fail reports for the verification suites."""
+"""Structured pass/fail reports for the verification suites.  The CLI writes
+their dict form; nothing reads it back."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ class CheckItem:
     label: str
     passed: bool
     residual: Optional[str] = None
-    time: float = 0.0
 
     @staticmethod
     def all_zero(label: str, polys, order) -> "CheckItem":
@@ -34,20 +34,10 @@ class CheckItem:
         return PASS if self.passed else FAIL
 
     def to_dict(self) -> dict:
-        d = {"label": self.label, "status": self.status}
+        d = {"label": self.label, "status": self.status, "time": 0.0}
         if self.residual is not None:
             d["residual"] = self.residual
-        d["time"] = self.time
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "CheckItem":
-        return CheckItem(
-            label=d["label"],
-            passed=d["status"] == PASS,
-            residual=d.get("residual"),
-            time=d.get("time", 0.0),
-        )
 
 
 @dataclass
@@ -55,14 +45,14 @@ class CheckReport:
     suite: str
     status: str
     items: List[CheckItem] = field(default_factory=list)
-    params: Dict[str, str] = field(default_factory=dict)
-    version: str = TOOLKIT_VERSION
+    #: set by `cli.run_suite` after the suite has run, never by a constructor
+    params: Dict[str, str] = field(default_factory=dict, init=False)
     message: Optional[str] = None
 
     @staticmethod
-    def from_items(suite: str, items: List[CheckItem], params=None) -> "CheckReport":
+    def from_items(suite: str, items: List[CheckItem]) -> "CheckReport":
         status = PASS if all(i.passed for i in items) else FAIL
-        return CheckReport(suite, status, items, dict(params or {}))
+        return CheckReport(suite, status, items)
 
     @staticmethod
     def error(suite: str, message: str) -> "CheckReport":
@@ -72,32 +62,17 @@ class CheckReport:
     def ok(self) -> bool:
         return self.status == PASS
 
-    @property
-    def failures(self) -> List[CheckItem]:
-        return [i for i in self.items if not i.passed]
-
     def to_dict(self) -> dict:
         d = {
             "suite": self.suite,
             "status": self.status,
-            "version": self.version,
+            "version": TOOLKIT_VERSION,
             "params": dict(self.params),
             "items": [i.to_dict() for i in self.items],
         }
         if self.message is not None:
             d["message"] = self.message
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "CheckReport":
-        return CheckReport(
-            suite=d["suite"],
-            status=d["status"],
-            items=[CheckItem.from_dict(i) for i in d["items"]],
-            params=dict(d.get("params", {})),
-            version=d.get("version", TOOLKIT_VERSION),
-            message=d.get("message"),
-        )
 
     def render_text(self) -> str:
         lines = [f"suite {self.suite}: {self.status}"]

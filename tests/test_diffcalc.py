@@ -31,7 +31,7 @@ XSPACE = builtin("xspace")
 
 def test_wz_confluence_passes():
     rep = wz_confluence()
-    assert rep.ok, len(rep.failures)
+    assert rep.ok, rep.render_text()
     assert rep.items  # overlaps were actually enumerated
 
 

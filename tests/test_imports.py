@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -55,7 +56,7 @@ def test_no_unused_imports(path):
 
 
 ROOT = SRC.parent.parent
-REFERENCE_DIRS = [SRC, ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"]
+REFERENCE_DIRS = [SRC, ROOT / "tests", ROOT / "perfbench"]
 #: left out of every reference scan: its own reads (`ast.walk`, `ast.parse`)
 #: would credit any definition of the same name
 THIS_FILE = pathlib.Path(__file__).resolve()
@@ -293,3 +294,27 @@ def test_scalar_backend_stays_inside_scalar_py():
     ]
     assert leaks == []
     assert _backend_leaks(SRC / "scalar.py")  # the scan does see the backend
+
+
+def _python_floor():
+    """(major, minor) of the `requires-python = ">=X.Y"` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    m = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.M)
+    return int(m.group(1)), int(m.group(2))
+
+
+def test_every_file_parses_at_the_declared_python_floor():
+    """Every .py file under src/, tests/ and perfbench/ parses in the grammar
+    of the oldest Python that pyproject.toml admits.  This checks syntax
+    only, not whether the library APIs a file calls exist there."""
+    floor = _python_floor()
+    too_new = []
+    for d in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+        for path in sorted(d.rglob("*.py")):
+            try:
+                ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+            except SyntaxError as exc:
+                too_new.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert too_new == []
+    with pytest.raises(SyntaxError):  # the guard does see newer grammar
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)

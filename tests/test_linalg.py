@@ -27,6 +27,7 @@ from qwh.linalg import (
     ybe_check,
 )
 from qwh.presentations import builtin
+from qwh.report import FAIL
 from qwh.scalar import Scalar
 
 
@@ -104,6 +105,18 @@ def test_eigensplit_dimensions_and_projectors():
 
 def test_eigenspace_identification_passes():
     assert eigenspace_identification().ok
+
+
+def test_eigenspace_identification_fails_when_no_convention_works(monkeypatch):
+    # the identity is involutive, with a 9-dim +1 eigenspace and no -1 one
+    monkeypatch.setattr(linalg, "rhat_builtin", lambda bindings: Matrix.identity(9))
+    rep = eigenspace_identification()
+    assert rep.status == FAIL
+    assert [(i.label, i.passed) for i in rep.items] == [
+        ("eigenspace dimensions {9, 0} = {6, 3}", False),
+        ("coordinate relations span equals an eigenspace", False),
+        ("one-form relations span equals an eigenspace", False),
+    ]
 
 
 def test_generic_q_relations_leave_the_eigenspace():

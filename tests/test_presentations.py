@@ -138,6 +138,10 @@ DSL_ERROR_SPANS = {
     "algebra t\nparams nope\ngenerators a": "2:1",     # unknown parameter
     "algebra t\ngenerators a\nfrobnicate x": "3:1",    # unknown directive
     "algebra t\ngenerators a > a": "2:1",             # duplicate generator
+    # a generator no expression can name: 2 reads as an integer
+    "algebra t\ngenerators 2 > b\nrel b*b = 2": "2:1",
+    "algebra t\ngenerators a-b > c": "2:1",
+    "algebra t\n  generators b c > d": "2:3",
     # algebra, params and generators occur once, and each degree once
     "algebra t\nalgebra s\ngenerators a": "2:1",
     "algebra t\nparams u\nparams s\ngenerators a": "3:1",

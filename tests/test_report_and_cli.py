@@ -27,14 +27,18 @@ def _validate(payload):
 
 
 def test_report_round_trip():
+    """A report's dict form survives JSON unchanged and matches the schema."""
     rep = CheckReport.from_items(
-        "demo",
-        [CheckItem("ok", True), CheckItem("bad", False, residual="u - 1")],
-        params={"u": "2"},
+        "demo", [CheckItem("ok", True), CheckItem("bad", False, residual="u - 1")]
     )
+    rep.params = {"u": "2"}
     assert rep.status == FAIL
-    clone = CheckReport.from_dict(json.loads(json.dumps(rep.to_dict())))
-    assert clone == rep
+    payload = json.loads(json.dumps(rep.to_dict()))
+    assert payload == rep.to_dict()
+    _validate(payload)
+    assert (payload["status"], payload["params"]) == (FAIL, {"u": "2"})
+    assert [(i["status"], i["time"]) for i in payload["items"]] == [(PASS, 0.0), (FAIL, 0.0)]
+    assert payload["items"][1]["residual"] == "u - 1"
 
 
 def test_status_aggregation():
@@ -82,14 +86,18 @@ def test_bad_params_exit_two():
     assert run(["check", "--suite", "ybe", "--params", "u"]).exit_code == 2
 
 
-def test_run_all_checks_bad_params_exit_two():
+def _check_all_process(params):
+    """`qwh check --suite all --params PARAMS` run as its own process."""
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    res = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "run_all_checks.py"),
-         "--params", "u=x"],
+    return subprocess.run(
+        [sys.executable, "-m", "qwh.cli", "check", "--suite", "all", "--params", params],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_check_all_bad_params_exit_two():
+    res = _check_all_process("u=x")
     assert res.returncode == 2
     assert res.stdout == ""
     assert res.stderr.startswith("error: bad rational value 'x' for u")
@@ -118,14 +126,8 @@ def test_normalize_binds_the_parameters_a_presentation_declares(tmp_path):
     assert (res.exit_code, res.output) == (0, "1/3*x*y\n")
 
 
-def test_run_all_checks_rejects_ansatz_unknowns():
-    root = os.path.join(os.path.dirname(__file__), "..")
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    res = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "run_all_checks.py"),
-         "--params", "k=0"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+def test_check_all_rejects_ansatz_unknowns():
+    res = _check_all_process("k=0")
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: k is an ansatz unknown, not a parameter; bindable: q, s, u\n"
 
@@ -228,6 +230,21 @@ def test_normalize_bad_input_exit_two(tmp_path):
     f.write_text("algebra dup\ngenerators a > a\n")
     _assert_one_line_error(
         run(["normalize", "-a", str(f), "-e", "a"]), "dup.alg:2:1: duplicate generator 'a'"
+    )
+
+
+def test_normalize_non_utf8_file_exit_two(tmp_path):
+    f = tmp_path / "bad.alg"
+    f.write_bytes(b"algebra t\ngenerators a > b\nrel a*b = \xff*b*a\n")
+    _assert_one_line_error(run(["normalize", "-a", str(f), "-e", "a*b"]), repr(str(f)))
+
+
+def test_normalize_rejects_a_generator_that_is_not_a_name(tmp_path):
+    # `2` tokenizes as an integer, so `b*b` used to normalize to the scalar 2
+    f = tmp_path / "two.alg"
+    f.write_text("algebra t\ngenerators 2 > b\nrel b*b = 2\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "b*b"]), "two.alg:2:1: generator '2' is not a name"
     )
 
 
