@@ -214,12 +214,14 @@ def ansatz_bucket_equations(
     return equations
 
 
-def _solvable(pending: List[Tuple[str, Scalar]]) -> Optional[Tuple[str, Scalar]]:
+def _solvable(
+    pending: List[Tuple[str, Scalar, List[str]]]
+) -> Optional[Tuple[str, Scalar]]:
     """(unknown, value) from the first pending equation that is linear in
     that unknown alone, unknowns taken in priority order ANSATZ_UNKNOWNS."""
     for target in ANSATZ_UNKNOWNS:
-        for _, c in pending:
-            if _unknowns_in(c) != [target]:
+        for _, c, unknowns in pending:
+            if unknowns != [target]:
                 continue
             const = c.substitute({target: 0})
             slope = c.substitute({target: 1}) - const
@@ -234,21 +236,27 @@ def _eliminate(
 ) -> Tuple[Dict[str, Scalar], List[Tuple[str, Scalar]], List[str]]:
     """Deterministic elimination: repeatedly solve an equation that is
     linear in a single unknown and substitute the value into the pending
-    equations that contain it, which leaves none containing it."""
-    pending = [(label, c) for label, c in equations if not c.is_zero()]
+    equations that contain it, which leaves none containing it.  Each
+    pending equation carries its unknowns, found again only in what a
+    substitution leaves nonzero."""
+    pending = [(label, c, _unknowns_in(c)) for label, c in equations if not c.is_zero()]
     solved: Dict[str, Scalar] = {}
     while found := _solvable(pending):
         target, value = found
         solved[target] = value
-        substituted = (
-            (label, c.substitute({target: value}) if target in _unknowns_in(c) else c)
-            for label, c in pending
-        )
-        pending = [(label, c) for label, c in substituted if not c.is_zero()]
+        substituted = []
+        for label, c, unknowns in pending:
+            if target in unknowns:
+                c = c.substitute({target: value})
+                if c.is_zero():
+                    continue
+                unknowns = _unknowns_in(c)
+            substituted.append((label, c, unknowns))
+        pending = substituted
     witnesses = [
-        f"{label}: residual {c}" for label, c in pending if not _unknowns_in(c)
+        f"{label}: residual {c}" for label, c, unknowns in pending if not unknowns
     ]
-    residual = [(label, c) for label, c in pending if _unknowns_in(c)]
+    residual = [(label, c) for label, c, unknowns in pending if unknowns]
     return solved, residual, witnesses
 
 

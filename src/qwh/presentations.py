@@ -365,7 +365,8 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
 
     Lines: `algebra NAME`, `params u s q`, `generators a > b > c`,
     `degree GEN = INT`, `rel EXPR = EXPR` (or `rel EXPR`), `#` comments.
-    The first three occur once each, and a generator has one degree line.
+    The first three occur once each, a generator has one degree line, and
+    no generator is named like a declared parameter.
     """
     name = None
     params: List[str] = []
@@ -406,6 +407,7 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
             dup = next((g for i, g in enumerate(gens) if g in gens[:i]), None)
             if dup is not None:
                 raise ParseError(f"duplicate generator {dup!r}", span)
+            gens_span = span
         elif head == "degree":
             gen_name, _, val = rest.partition("=")
             gen_name, val = gen_name.strip(), val.strip()
@@ -425,6 +427,11 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
         raise ParseError("missing `algebra` line", SourceSpan(file, 1, 1))
     if not gens:
         raise ParseError("missing `generators` line", SourceSpan(file, 1, 1))
+    # an expression reads a name as a generator first, so the parameter
+    # would be out of reach
+    clash = next((g for g in gens if g in params), None)
+    if clash is not None:
+        raise ParseError(f"generator {clash!r} is a declared parameter", gens_span)
 
     table = GenTable(gens)
     degree = None

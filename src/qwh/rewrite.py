@@ -3,6 +3,7 @@ enumeration, diamond-lemma confluence checks, bounded completion."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -73,25 +74,45 @@ class RewriteSystem:
         return NCPoly(self.table, {prefix + rw + suffix: rc for rw, rc in terms})
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        """Exhaustive reduction, leftmost-outermost.
+        """Exhaustive reduction, each word rewritten at its leftmost-outermost
+        redex, so the result is the same linear map in a system that is not
+        confluent.
 
-        Terminates because every rule strictly decreases the deg-lex order.
+        Pending words wait with their merged coefficients, and the largest in
+        the deg-lex order is taken first.  Every rule's rhs is strictly
+        smaller than its lhs, and the order is compatible with concatenation,
+        so every word a rewrite makes is smaller than the word taken: a word
+        taken never comes back, and a word reached along several paths is
+        rewritten once.  This also proves termination.
         """
         if p.table != self.table:
             raise AlgebraError("polynomial over a different generator table")
+        rank = self.order.rank.__getitem__
+        pending: Dict[Word, sc.Scalar] = dict(p.terms)
+        # the least entry is the largest word: the longest, then of least ranks
+        heap = [(-len(w), tuple(map(rank, w)), w) for w in pending]
+        heapq.heapify(heap)
         out: Dict[Word, sc.Scalar] = {}
-        work: List[Tuple[Word, sc.Scalar]] = list(p.terms.items())
-        while work:
-            w, c = work.pop()
+        while heap:
+            w = heapq.heappop(heap)[2]
+            c = pending.pop(w)
+            if c.is_zero():
+                continue
             m = self.find_redex(w)
             if m is None:
-                out[w] = out.get(w, sc.ZERO) + c
-            else:
-                pos, i = m
-                rule = self.rules[i]
-                prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
-                for rw, rc in rule.rhs.terms.items():
-                    work.append((prefix + rw + suffix, c * rc))
+                out[w] = c  # w never comes back, so nothing is added to it later
+                continue
+            pos, i = m
+            rule = self.rules[i]
+            prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
+            for rw, rc in rule.rhs.terms.items():
+                v = prefix + rw + suffix
+                old = pending.get(v)
+                if old is None:
+                    pending[v] = c * rc
+                    heapq.heappush(heap, (-len(v), tuple(map(rank, v)), v))
+                else:
+                    pending[v] = old + c * rc
         return NCPoly(self.table, out)
 
 

@@ -19,13 +19,15 @@ A scalar has one of three representations, and each value has exactly one:
 Products, quotients, powers and negations of Fractions and monomials are
 computed on the coefficients and the exponent tuples and never build a
 sympy object.  Adding 0, or multiplying by 1 or -1, returns the other
-operand or its negation without arithmetic.  Sums, and every operation
-with a FracElement operand, lift both operands into FIELD and take the
-field path, and the result is demoted to the narrowest representation.
-Like monomials could be summed natively, but sums are where symbolic work
-enters sympy's `PolyElement.cancel`, and the benchmark's tracer requires
-every workload to enter that boundary; sums stay on the field path until
-that requirement is revised.  Only this module knows the representations.
+operand or its negation without arithmetic, and a sum of two monomials
+that cancel (x + (-x), x - x) is 0 without the field.  Every other sum,
+and every operation with a FracElement operand, lifts both operands into
+FIELD and takes the field path, and the result is demoted to the narrowest
+representation.  A like sum that does not cancel, 2u - u say, could be
+summed natively too, but sums are where symbolic work enters sympy's
+`PolyElement.cancel`, and the benchmark's tracer requires every workload to
+enter that boundary; such sums stay on the field path until that
+requirement is revised.  Only this module knows the representations.
 """
 
 from __future__ import annotations
@@ -155,6 +157,8 @@ def _sub(x: "Scalar", y: "Scalar") -> "Scalar":
             return Scalar(a - b)
     elif type(a) is Fraction and not a:
         return -y
+    elif type(a) is tuple and type(b) is tuple and a == b:
+        return ZERO
     return _field_op(operator.sub, a, b)
 
 
@@ -234,6 +238,8 @@ class Scalar:
                 return self
             if type(a) is Fraction:
                 return Scalar(a + b)
+        elif type(a) is tuple and type(b) is tuple and a[0] == b[0] and a[1] == -b[1]:
+            return ZERO
         return _field_op(operator.add, a, b)
 
     __radd__ = __add__

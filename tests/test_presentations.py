@@ -142,6 +142,9 @@ DSL_ERROR_SPANS = {
     "algebra t\ngenerators 2 > b\nrel b*b = 2": "2:1",
     "algebra t\ngenerators a-b > c": "2:1",
     "algebra t\n  generators b c > d": "2:3",
+    # a generator named like a declared parameter, whichever line comes first
+    "algebra t\nparams u\ngenerators u > b\nrel b*u = u*b*b": "3:1",
+    "algebra t\ngenerators u > b\nparams u\nrel b*u = u*b*b": "2:1",
     # algebra, params and generators occur once, and each degree once
     "algebra t\nalgebra s\ngenerators a": "2:1",
     "algebra t\nparams u\nparams s\ngenerators a": "3:1",

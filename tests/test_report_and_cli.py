@@ -248,6 +248,17 @@ def test_normalize_rejects_a_generator_that_is_not_a_name(tmp_path):
     )
 
 
+def test_normalize_rejects_a_generator_named_like_a_parameter(tmp_path):
+    # the generator used to hide the parameter: `-p u=2` bound nothing, and
+    # `b*u` printed itself with exit 0
+    f = tmp_path / "u.alg"
+    f.write_text("algebra t\nparams u\ngenerators u > b\nrel b*u = u*b*b\n")
+    _assert_one_line_error(
+        run(["normalize", "-a", str(f), "-e", "b*u", "-p", "u=2"]),
+        "u.alg:3:1: generator 'u' is a declared parameter",
+    )
+
+
 def test_repeated_dsl_header_line_exit_two_with_span(tmp_path):
     # a second generators line used to replace the first silently
     f = tmp_path / "g.alg"

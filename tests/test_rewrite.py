@@ -1,5 +1,7 @@
 """Rewriting: normal forms, confluence via the diamond lemma, completion."""
 
+import functools
+import itertools
 import sys
 from fractions import Fraction
 
@@ -304,47 +306,125 @@ def _assert_same_system(got, want):
     assert [r.rhs for r in got.rules] == [r.rhs for r in want.rules]
 
 
-@pytest.mark.parametrize(
-    "bindings", [None, {"u": Fraction(2), "s": Fraction(3)}], ids=["symbolic", "u=2,s=3"]
-)
+U2_S3 = {"u": Fraction(2), "s": Fraction(3)}
+
+
+def _record_calls(mp, real, calls):
+    """Replace `real` under every name that binds it in a qwh module by a
+    wrapper that appends (argument list, result) of each call to `calls`."""
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append((list(args), out))
+        return out
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
+        if getattr(module, real.__name__, None) is real:
+            mp.setattr(module, real.__name__, wrapper)
+    return wrapper
+
+
+def _run_all_suites(mp, bindings):
+    """The 18 suites and the generic-q variants, from an empty memo, so that
+    every system is built while they run."""
+    mp.setattr(memo, "_symbolic", {})
+    mp.setattr(memo, "_point", {})
+    mp.setattr(memo, "_point_key", ())
+    for name, (_, supports_gq) in _SUITES.items():
+        for generic_q in (False, True) if supports_gq else (False,):
+            run_suite(name, bindings, generic_q)
+
+
+@pytest.mark.parametrize("bindings", [None, U2_S3], ids=["symbolic", "u=2,s=3"])
 def test_elimination_matches_the_row_by_row_paths_on_every_suite_input(
     bindings, monkeypatch
 ):
     """Every relation list interreduced, and every system built, while the
-    18 suites and the generic-q variants run.  The memo starts empty, so
-    every system is built under the capture."""
+    18 suites and the generic-q variants run."""
     interreduced, built = [], []
-    real_interreduce, real_build = rewrite.interreduce_relations, rewrite.build_rules
-
-    def interreduce(relations, order):
-        out = real_interreduce(relations, order)
-        interreduced.append((list(relations), order, out))
-        return out
-
-    def build(relations, order, table=None):
-        out = real_build(relations, order, table)
-        built.append((list(relations), order, out))
-        return out
-
-    monkeypatch.setattr(memo, "_symbolic", {})
-    monkeypatch.setattr(memo, "_point", {})
-    monkeypatch.setattr(memo, "_point_key", ())
-    for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
-        if getattr(module, "interreduce_relations", None) is real_interreduce:
-            monkeypatch.setattr(module, "interreduce_relations", interreduce)
-        if getattr(module, "build_rules", None) is real_build:
-            monkeypatch.setattr(module, "build_rules", build)
-    assert quantumgroup.interreduce_relations is interreduce
-    for name, (_, supports_gq) in _SUITES.items():
-        for generic_q in (False, True) if supports_gq else (False,):
-            run_suite(name, bindings, generic_q)
+    wrapper = _record_calls(monkeypatch, rewrite.interreduce_relations, interreduced)
+    _record_calls(monkeypatch, rewrite.build_rules, built)
+    assert quantumgroup.interreduce_relations is wrapper
+    _run_all_suites(monkeypatch, bindings)
     assert len(interreduced) > len(built) > 10
-    for relations, order, out in interreduced:
+    for (relations, order), out in interreduced:
         assert out == reference_interreduce(relations, order)
-    for relations, order, system in built:
-        _assert_same_system(
-            system, reference_build_rules(relations, order, system.table)
+    for (relations, order, table), system in built:
+        _assert_same_system(system, reference_build_rules(relations, order, table))
+
+
+# -- the merged reduction against the stack loop it replaced ----------------
+
+def reference_normal_form(system, p):
+    """The stack loop the merged reduction replaced: each term is popped,
+    rewritten at its leftmost-outermost redex, and its images pushed back
+    unmerged, so a word reached along several paths is rewritten each
+    time it is reached."""
+    out = {}
+    work = list(p.terms.items())
+    while work:
+        w, c = work.pop()
+        m = system.find_redex(w)
+        if m is None:
+            out[w] = out.get(w, sc.ZERO) + c
+        else:
+            pos, i = m
+            rule = system.rules[i]
+            prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
+            for rw, rc in rule.rhs.terms.items():
+                work.append((prefix + rw + suffix, c * rc))
+    return NCPoly(system.table, out)
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_systems():
+    """Every system built while the suites and the generic-q variants run,
+    symbolically and at u=2,s=3, the calculus with q free among them; it
+    is not confluent, so only the same redex choices give the same map."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_calls(mp, rewrite.build_rules, built)
+        for bindings in (None, U2_S3):
+            _run_all_suites(mp, bindings)
+        generic_q = wz_system(generic_q=True)
+    systems = [system for _, system in built]
+    assert any(system is generic_q for system in systems)
+    assert not diamond_check(generic_q).ok
+    return systems
+
+
+suite_coeffs = st.one_of(coeffs, coeffs.map(lambda c: c * sc.U), coeffs.map(lambda c: c * sc.S))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_merged_reduction_matches_the_stack_loop_on_every_suite_system(data):
+    for system in _suite_systems():
+        letters = st.integers(0, len(system.table) - 1)
+        terms = st.dictionaries(
+            st.lists(letters, max_size=5).map(tuple), suite_coeffs, max_size=3
         )
+        p = NCPoly(system.table, data.draw(terms))
+        assert system.normal_form(p) == reference_normal_form(system, p)
+
+
+def test_each_word_is_searched_once_per_call(monkeypatch):
+    """Within one normal_form call, find_redex never sees a word twice: a
+    word reached along several paths is rewritten once, with its merged
+    coefficient.  The stack loop searches it once per path."""
+    seen = []
+    real = RewriteSystem.find_redex
+
+    def spy(self, w):
+        seen.append(w)
+        return real(self, w)
+
+    monkeypatch.setattr(RewriteSystem, "find_redex", spy)
+    for system in (XSYS, group_system("H8"), wz_system(generic_q=True)):
+        for w in itertools.product(range(len(system.table)), repeat=3):
+            seen.clear()
+            system.normal_form(NCPoly.word(system.table, w))
+            assert len(seen) == len(set(seen)), (system.table, w)
 
 
 ABC = GenTable(["a", "b", "c"])

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, substitution, rendering."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -384,6 +385,8 @@ def test_adding_zero_and_multiplying_by_one_agree_with_the_field(x):
         (x - sc.ZERO, fx - lift(0)),
         (sc.ZERO - x, lift(0) - fx),
     ]
+    cancelling = [(x + -x, fx + -fx), (-x + x, -fx + fx), (x - x, fx - fx)]
+    cases += cancelling
     for c in (1, -1):
         cases += [
             (Scalar.from_int(c) * x, lift(c) * fx),
@@ -397,10 +400,50 @@ def test_adding_zero_and_multiplying_by_one_agree_with_the_field(x):
         assert got == want
         assert type(got.f) is type(want.f)
         assert hash(got) == hash(want)
+    for got, _ in cancelling:
+        assert got == sc.ZERO
     # without arithmetic: the other operand itself comes back
     assert sc.ZERO + x is x and sc.ONE * x is x
     if x not in (sc.ZERO, sc.ONE, -sc.ONE):
         assert x + sc.ZERO is x and x - sc.ZERO is x and x * sc.ONE is x
+    if type(x.f) is tuple:
+        # two monomials that cancel never enter the field
+        def field_op(*args):
+            raise AssertionError(f"field path entered for {args}")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sc, "_field_op", field_op)
+            assert x + -x is sc.ZERO and -x + x is sc.ZERO and x - x is sc.ZERO
+
+
+def test_like_sums_that_do_not_cancel_take_the_field(monkeypatch):
+    """Near misses of the cancellation shortcut: equal exponents with
+    coefficients that do not cancel, and opposite coefficients on unequal
+    exponents.  Each sum enters the field once and agrees with it."""
+    u, s, two = Scalar.param("u"), Scalar.param("s"), Scalar.from_int(2)
+    near_misses = [
+        (two * u, operator.sub, u),
+        (u, operator.add, -(u * u)),
+        (u, operator.sub, -u),
+        (u, operator.add, u),
+        (u, operator.sub, two * u),
+        (u, operator.sub, u * s),
+        (u, operator.add, -(u * s)),
+    ]
+    entered = []
+    real = sc._field_op
+
+    def field_op(*args):
+        entered.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sc, "_field_op", field_op)
+    for x, op, y in near_misses:
+        del entered[:]
+        got = op(x, y)
+        want = _as_scalar(op(sc._lift(x.f), sc._lift(y.f)))
+        assert got == want and type(got.f) is type(want.f) and hash(got) == hash(want)
+        assert not got.is_zero() and len(entered) == 1, (x, op, y)
 
 
 # -- every stored value is in its narrowest form ---------------------------
