@@ -9,7 +9,7 @@ in its presentation's own rewrite system (`TensorAlgebra.normal_form`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .freealg import NCPoly, Word
 from .linalg import quadratic_vectors, row_space
@@ -63,24 +63,6 @@ def coact(p: NCPoly, group: Presentation, space: Presentation) -> NCPoly:
     return mixed.normal_form(mixed.coact(p))
 
 
-def _coacted_coefficients(
-    space: Presentation, group: Presentation
-) -> Iterator[Tuple[NCPoly, Word, NCPoly]]:
-    """(space relation, normal space word, its group coefficient) over the
-    coaction image of each space relation, normal-ordered modulo the space
-    relations and the commutation of the blocks; space words ascend within
-    each relation."""
-    mixed = MixedAlgebra(group, space)
-    system = space.rewrite_system()
-    for rel in space.relations:
-        coeffs: Dict[Word, Dict[Word, Scalar]] = {}
-        for w, c in mixed.normal_form(mixed.coact(rel), system).terms.items():
-            sword, gword = mixed.split(w)
-            coeffs.setdefault(sword, {})[gword] = c
-        for sword in sorted(coeffs):
-            yield rel, sword, NCPoly(group.table, coeffs[sword])
-
-
 # ---------------------------------------------------------------------------
 # comodule checks
 # ---------------------------------------------------------------------------
@@ -88,7 +70,9 @@ def _coacted_coefficients(
 def comodule_residuals(
     space: Presentation, group: Presentation
 ) -> List[Tuple[NCPoly, NCPoly, MixedAlgebra]]:
-    """(space relation, residual of its coaction image, mixed context)."""
+    """(space relation, residual of its coaction image, mixed context): the
+    image normal-ordered in both blocks, the one coaction image that the
+    comodule check, the ansatz equations and the pin read."""
     mixed = MixedAlgebra(group, space)
     systems = space.rewrite_system(), group.rewrite_system()
     return [
@@ -117,8 +101,19 @@ def comodule_check(
 def derive_group_constraints(space: Presentation, group: Presentation) -> List[NCPoly]:
     """Constraints on the (free) quantum-matrix entries forced by invariance
     of the space relations: coact each relation, express it in the basis
-    {group word x normal space word}, and return the group coefficients."""
-    return [coeff for _, _, coeff in _coacted_coefficients(space, group)]
+    {group word x normal space word}, and return the group coefficients,
+    relation by relation with space words ascending.  The group block stays
+    free: its relations are what the coefficients are compared against."""
+    mixed = MixedAlgebra(group, space)
+    system = space.rewrite_system()
+    constraints = []
+    for rel in space.relations:
+        coeffs: Dict[Word, Dict[Word, Scalar]] = {}
+        for w, c in mixed.normal_form(mixed.coact(rel), system).terms.items():
+            sword, gword = mixed.split(w)
+            coeffs.setdefault(sword, {})[gword] = c
+        constraints.extend(NCPoly(group.table, coeffs[sw]) for sw in sorted(coeffs))
+    return constraints
 
 
 def constraint_span_check(bindings=None) -> CheckReport:
@@ -138,7 +133,7 @@ def constraint_span_check(bindings=None) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the degree-filtered ansatz solver
+# the ansatz solver
 # ---------------------------------------------------------------------------
 
 #: elimination priority for the one-form ansatz unknowns
@@ -185,33 +180,28 @@ def _unknowns_in(x: Scalar) -> List[str]:
     return [name for name in ANSATZ_UNKNOWNS if name in used]
 
 
-def ansatz_bucket_equations(
+def ansatz_equations(
     ansatz: Presentation, group: Presentation
 ) -> List[Tuple[str, Scalar]]:
-    """One scalar equation per surviving basis word: coact each template,
-    normal-order the one-form part against the ansatz itself, split the
-    quantum-matrix coefficients by degree, and reduce each bucket against
-    the group relations.  Whatever survives must vanish identically."""
+    """One scalar equation per word of the coaction images that
+    `comodule_residuals` gives, each word split into its group and one-form
+    parts and labelled with the degree of the group part.  Whatever survives
+    must vanish identically.  Equations go by relation, then one-form word,
+    then degree, then group word."""
     if group.degree is None:
         raise CoactionError(f"{group.name} carries no degree grading")
-    group_sys = group.rewrite_system()
-    equations: List[Tuple[str, Scalar]] = []
-    for rel, sword, coeff in _coacted_coefficients(ansatz, group):
+    keyed = []
+    for i, (rel, residual, mixed) in enumerate(comodule_residuals(ansatz, group)):
         template = rel.render(ansatz.order)
-        sname = "*".join(ansatz.table.name(g) for g in sword)
-        buckets: Dict[int, Dict[Word, Scalar]] = {}
-        for w, c in coeff.terms.items():
-            buckets.setdefault(sum(group.degree[g] for g in w), {})[w] = c
-        for d in sorted(buckets):
-            reduced = group_sys.normal_form(NCPoly(group.table, buckets[d]))
-            for w, c in sorted(reduced.terms.items()):
-                wname = "*".join(group.table.name(g) for g in w)
-                label = (
-                    f"coact({template}): coefficient of {wname} (x) {sname}"
-                    f" at degree {d}"
-                )
-                equations.append((label, c))
-    return equations
+        for w, c in residual.terms.items():
+            sword, gword = mixed.split(w)
+            d = sum(group.degree[g] for g in gword)
+            sname = "*".join(ansatz.table.name(g) for g in sword)
+            wname = "*".join(group.table.name(g) for g in gword)
+            label = f"coact({template}): coefficient of {wname} (x) {sname} at degree {d}"
+            keyed.append(((i, sword, d, gword), label, c))
+    keyed.sort(key=lambda e: e[0])
+    return [(label, c) for _, label, c in keyed]
 
 
 def _solvable(
@@ -221,13 +211,9 @@ def _solvable(
     that unknown alone, unknowns taken in priority order ANSATZ_UNKNOWNS."""
     for target in ANSATZ_UNKNOWNS:
         for _, c, unknowns in pending:
-            if unknowns != [target]:
-                continue
-            const = c.substitute({target: 0})
-            slope = c.substitute({target: 1}) - const
-            if slope.is_zero() or _unknowns_in(slope) or _unknowns_in(const):
-                continue  # not linear in the target alone
-            return target, -const / slope
+            if unknowns == [target] and c.is_linear_in(target):
+                const = c.substitute({target: 0})
+                return target, -const / (c.substitute({target: 1}) - const)
     return None
 
 
@@ -264,13 +250,13 @@ def ansatz_solve(
     ansatz: Presentation, group: Optional[Presentation] = None
 ) -> ConstraintSystem:
     """Solve the invariance conditions on an ansatz of quadratic one-form
-    relations with unknown coefficients: every degree bucket of every
-    coacted template must vanish modulo the group relations.  Both
+    relations with unknown coefficients: every coefficient of every coacted
+    template, normal-ordered in both blocks, must vanish.  Both
     presentations are used as given (group defaults to the symbolic
     seven-generator group); pass them specialised to solve at a point."""
     if group is None:
         group = builtin("TT7")
-    solved, residual, witnesses = _eliminate(ansatz_bucket_equations(ansatz, group))
+    solved, residual, witnesses = _eliminate(ansatz_equations(ansatz, group))
     ordered = {n: solved[n] for n in ANSATZ_UNKNOWNS if n in solved}
     return ConstraintSystem(
         ansatz=ansatz.name,
@@ -282,22 +268,17 @@ def ansatz_solve(
 
 def pin_free_coefficients(bindings=None) -> Tuple[Dict[str, Scalar], CheckReport]:
     """Re-derive the one-form structure constants independently: substitute
-    the forced zeros into the ansatz, pin the rest from the comodule
-    residual equations, and confirm the pinned system is confluent and
-    spans the built-in one-form relations."""
+    the forced zeros into the ansatz, pin the rest with `ansatz_solve`, and
+    confirm the pinned system is confluent and spans the built-in one-form
+    relations."""
     group = builtin("TT7", bindings)
     base = builtin("ansatz_xi", bindings).substitute({"k": 0, "lam12": 0, "mu12": 0})
-    equations = []
-    for rel, residualp, mixed in comodule_residuals(base, group):
-        template = rel.render(base.order)
-        for w, c in sorted(residualp.terms.items()):
-            wname = "*".join(mixed.table.name(g) for g in w)
-            equations.append((f"coact({template}): coefficient of {wname}", c))
-    pins, residual, witnesses = _eliminate(equations)
+    system = ansatz_solve(base, group)
+    pins = system.solved
     items = [
         CheckItem(
             "comodule residual equations eliminate completely",
-            not residual and not witnesses,
+            not system.residual and not system.witnesses,
         )
     ]
     for name in ("c21", "lam", "mu"):
@@ -308,7 +289,7 @@ def pin_free_coefficients(bindings=None) -> Tuple[Dict[str, Scalar], CheckReport
             )
         )
     if all(i.passed for i in items):
-        pinned = base.substitute({n: v for n, v in pins.items()})
+        pinned = base.substitute(pins)
         xis = builtin("xispace", bindings)
         to_xis = pinned.table.gid_map(xis.table)
         pv = quadratic_vectors(
@@ -329,11 +310,11 @@ def pin_free_coefficients(bindings=None) -> Tuple[Dict[str, Scalar], CheckReport
 
 
 def ansatz_check(bindings=None) -> CheckReport:
-    """Suite wrapper for the degree-filtered ansatz analysis: the general
-    one-form ansatz forces its three obstruction coefficients to zero, the
-    variant keeping the square of the third one-form independent is
-    impossible, and the remaining structure constants pin to the built-in
-    one-form presentation."""
+    """Suite wrapper for the ansatz analysis: the general one-form ansatz
+    forces its three obstruction coefficients to zero, the variant keeping
+    the square of the third one-form independent is impossible, and the
+    remaining structure constants pin to the built-in one-form
+    presentation."""
     group = builtin("TT7", bindings)
     system = ansatz_solve(builtin("ansatz_xi", bindings), group)
     zero_names = ("k", "lam12", "mu12")

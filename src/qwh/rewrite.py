@@ -165,19 +165,13 @@ def interreduce_relations(
 
 
 def build_rules(
-    relations: List[NCPoly],
-    order: MonomialOrder,
-    table: Optional[GenTable] = None,
+    relations: List[NCPoly], order: MonomialOrder, table: GenTable
 ) -> RewriteSystem:
     """Orient a relation span into a rewrite system with normal rhs.
 
     Each rhs is reduced once, in the system before any rhs is: whether a
     word is normal depends only on the left-hand sides, which that pass
     keeps."""
-    if table is None:
-        if not relations:
-            raise RewriteError("need a table for an empty relation list")
-        table = relations[0].table
     for r in relations:
         if r.table != table:
             raise AlgebraError("mismatched generator tables")

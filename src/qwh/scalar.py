@@ -341,6 +341,13 @@ class Scalar:
             if e
         }
 
+    def is_linear_in(self, name: str) -> bool:
+        """True when the parameter `name` has degree at most 1 in every
+        numerator term and does not occur in the denominator."""
+        i = PARAM_NAMES.index(name)
+        num, den = self._parts()
+        return all(m[i] <= 1 for m, _ in num) and not any(m[i] for m, _ in den)
+
     # -- substitution -----------------------------------------------------
 
     def substitute(self, bindings) -> "Scalar":

@@ -11,6 +11,7 @@ from qwh import scalar as sc
 from qwh.cli import run_suite
 from qwh.coaction import (
     CoactionError,
+    ConstraintSystem,
     MixedAlgebra,
     ansatz_check,
     ansatz_solve,
@@ -128,6 +129,25 @@ def test_ansatz_variant_is_inconsistent():
     system = ansatz_solve(builtin("ansatz_xi3sq_variant"))
     assert system.inconsistent
     assert any("degree 0" in w for w in system.witnesses)
+
+
+K = Scalar.param("k")
+
+
+@pytest.mark.parametrize(
+    "equation", [K * K + K - 6, 1 / K - 1], ids=["quadratic", "reciprocal"]
+)
+def test_elimination_leaves_an_equation_not_linear_in_its_unknown(equation):
+    """Only an equation linear in its one unknown is solved; any other stays
+    unresolved, neither a pin read off two values nor a witness."""
+    solved, residual, witnesses = coaction._eliminate([("e", equation)])
+    assert (solved, residual, witnesses) == ({}, [("e", equation)], [])
+    system = ConstraintSystem("t", solved, residual, witnesses)
+    assert system.render() == f"ansatz t:\n  unresolved: {equation} = 0   [e]"
+
+
+def test_an_empty_constraint_system_renders_as_no_constraints():
+    assert ConstraintSystem("t").render() == "ansatz t:\n  no constraints"
 
 
 def test_pin_free_coefficients_matches_builtin_one_forms():

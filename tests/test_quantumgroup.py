@@ -174,6 +174,17 @@ def test_specialized_group_checks():
     assert hopf_check("H8", bindings=b).ok
 
 
+def test_proportionality_of_zero_unlike_and_scaled_polynomials():
+    t = GenTable(["a", "b"])
+    zero, p = NCPoly.zero(t), NCPoly.parse(t, "a*b + b*a")
+    prop = quantumgroup._proportionality
+    assert prop(zero, zero) == sc.ONE
+    assert prop(p, zero) is None and prop(zero, p) is None
+    assert prop(p, NCPoly.parse(t, "a*b")) is None  # different supports
+    assert prop(p, NCPoly.parse(t, "a*b - b*a")) is None  # same support
+    assert prop(p.scale(sc.U), p) == sc.U
+
+
 def test_generator_matrix_is_indexed_from_zero():
     pres = builtin("TT7")
     T = generator_matrix(pres)

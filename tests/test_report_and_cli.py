@@ -74,6 +74,15 @@ def test_generic_q_with_bound_q_exit_two():
         assert "--generic-q" in lines[0] and "bound q" in lines[0]
 
 
+def test_generic_q_on_a_suite_without_the_variant_exit_two():
+    res = run(["check", "--suite", "ybe", "--generic-q"])
+    _assert_one_line_error(res, "")
+    assert res.output == (
+        "error: suite 'ybe' has no generic-q variant"
+        " (supported: eigen, rtt-7, diffcalc)\n"
+    )
+
+
 def test_unknown_suite_exit_two_lists_registry():
     res = run(["check", "--suite", "nope"])
     assert res.exit_code == 2
@@ -194,6 +203,11 @@ def test_normalize_examples():
     assert run(["normalize", "-a", "xispace", "-e", "xi1*xi1"]).output.strip() == "0"
     assert run(["normalize", "-a", "TT7", "-e", "T12*T21"]).output.strip() == \
         "u^4*T21*T12"
+    # the power of a sum of generators, and a minus sign after an operator
+    assert run(["normalize", "-a", "xspace", "-e", "(x1+x2)^2"]).output.strip() == \
+        "x1*x1 + (u^2 + 1)*x2*x1 + x2*x2 + s*x3*x3"
+    assert run(["normalize", "-a", "xspace", "-e", "x1*-x2"]).output.strip() == \
+        "-u^2*x2*x1 - s*x3*x3"
 
 
 def test_normalize_parse_error_exit_two():

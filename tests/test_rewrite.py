@@ -17,6 +17,7 @@ from qwh.diffcalc import wz_system
 from qwh.presentations import builtin
 from qwh.quantumgroup import extended_system, group_system
 from qwh.rewrite import (
+    Overlap,
     RewriteError,
     RewriteRule,
     RewriteSystem,
@@ -159,6 +160,25 @@ def test_overlap_enumeration_matches_rule_pairs():
         lb = XSYS.rules[ov.rule_b].lhs
         assert ov.word[:len(la)] == la
         assert ov.word[ov.pos_b:ov.pos_b + len(lb)] == lb
+
+
+def test_a_left_hand_side_inside_a_longer_one_is_an_overlap():
+    # b*c lies strictly inside a*b*c: a*b*c rewrites to c*c*c, or to a*c*b,
+    # which no rule reduces further
+    t = GenTable(["a", "b", "c"])
+    o = MonomialOrder.default(t)
+    rels = [NCPoly.parse(t, "a*b*c - c*c*c"), NCPoly.parse(t, "b*c - c*b")]
+    sys_ = build_rules(rels, o, t)
+    assert overlaps(sys_) == [Overlap(rule_a=0, rule_b=1, word=(0, 1, 2), pos_b=1)]
+    rep = diamond_check(sys_)
+    assert [(i.passed, i.residual) for i in rep.items] == [(False, "-a*c*b + c*c*c")]
+
+
+def test_an_empty_relation_list_builds_a_system_without_rules():
+    t = GenTable(["a", "b"])
+    sys_ = build_rules([], MonomialOrder.default(t), t)
+    assert sys_.rules == []
+    assert sys_.normal_form(NCPoly.parse(t, "b*a")) == NCPoly.parse(t, "b*a")
 
 
 # -- flatness: normal words per degree match the classical counts ---------

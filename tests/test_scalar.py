@@ -123,6 +123,16 @@ def test_params_used():
     assert (u / u).params_used() == set()
 
 
+def test_is_linear_in():
+    k, u = Scalar.param("k"), Scalar.param("u")
+    assert (u * k + u * u).is_linear_in("k")
+    assert ((k + 1) / (u + 1)).is_linear_in("k")
+    assert sc.ONE.is_linear_in("k") and u.is_linear_in("k")
+    assert not (k * k + k).is_linear_in("k")
+    assert not (1 / k).is_linear_in("k")
+    assert not (u / (k + u)).is_linear_in("k")
+
+
 def test_rational_detection():
     u = Scalar.param("u")
     assert not u.is_rational()

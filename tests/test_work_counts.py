@@ -4,9 +4,10 @@ blur.
 A pass runs the 18 suites and then the three generic-q variants, as
 `perfbench/run.py --workload suites-symbolic` does.  The memo starts empty,
 a first pass fills it, and the second pass is counted: sums that enter
-sympy's field (`scalar._field_op`) and redex searches
-(`RewriteSystem.find_redex`).  The counts do not depend on the hash seed.
-They are a record, not a bound: a change that moves them states each count,
+sympy's field (`scalar._field_op`), substitutions into scalars
+(`Scalar.substitute`), normal forms (`RewriteSystem.normal_form`) and redex
+searches (`RewriteSystem.find_redex`).  The counts do not depend on the
+hash seed.  They are a record, not a bound: a change that moves them states each count,
 old -> new, and why.  Print the counts of the tree under test with
 
     PYTHONPATH=src python tests/test_work_counts.py
@@ -21,7 +22,12 @@ from qwh import scalar as sc
 from qwh.cli import _SUITES
 from qwh.rewrite import RewriteSystem
 
-WARM_SYMBOLIC_COUNTS = {"scalar._field_op": 152, "RewriteSystem.find_redex": 4128}
+WARM_SYMBOLIC_COUNTS = {
+    "scalar._field_op": 152,
+    "Scalar.substitute": 149,
+    "RewriteSystem.normal_form": 802,
+    "RewriteSystem.find_redex": 3980,
+}
 
 
 def _pass():
@@ -49,6 +55,8 @@ def warm_symbolic_counts(mp):
     mp.setattr(memo, "_point", {})
     mp.setattr(memo, "_point_key", ())
     counting(sc, "_field_op", "scalar._field_op")
+    counting(sc.Scalar, "substitute", "Scalar.substitute")
+    counting(RewriteSystem, "normal_form", "RewriteSystem.normal_form")
     counting(RewriteSystem, "find_redex", "RewriteSystem.find_redex")
     _pass()
     counts.clear()
