@@ -1,19 +1,21 @@
-"""Exact work counts of a warm symbolic pass, which the host's speed cannot
-blur.
+"""Exact work counts of symbolic passes and passes at a point, which the
+host's speed cannot blur.
 
-A pass runs the 18 suites and then the three generic-q variants, as
-`perfbench/run.py --workload suites-symbolic` does.  The memo starts empty,
-a first pass fills it, and the second pass is counted: sums that enter
-sympy's field (`scalar._field_op`), substitutions into scalars
-(`Scalar.substitute`), normal forms (`RewriteSystem.normal_form`) and redex
-searches (`RewriteSystem.find_redex`).  The counts do not depend on the
-hash seed.  They are a record, not a bound: a change that moves them states each count,
-old -> new, and why.  Print the counts of the tree under test with
+A symbolic pass runs the 18 suites and then the three generic-q variants,
+as `perfbench/run.py --workload suites-symbolic` does; a pass at a point
+runs the 18 suites at u=2, s=3.  Each row starts from an empty memo, runs
+its passes, and counts the last one: sums that enter sympy's field
+(`scalar._field_op`), substitutions into scalars (`Scalar.substitute`),
+normal forms (`RewriteSystem.normal_form`) and redex searches
+(`RewriteSystem.find_redex`).  The counts do not depend on the hash seed.
+They are a record, not a bound: a change that moves them states each count,
+old -> new, and why.  Print every row of the tree under test with
 
     PYTHONPATH=src python tests/test_work_counts.py
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,15 +24,10 @@ from qwh import scalar as sc
 from qwh.cli import _SUITES
 from qwh.rewrite import RewriteSystem
 
-WARM_SYMBOLIC_COUNTS = {
-    "scalar._field_op": 152,
-    "Scalar.substitute": 149,
-    "RewriteSystem.normal_form": 802,
-    "RewriteSystem.find_redex": 3980,
-}
+POINT = {"u": Fraction(2), "s": Fraction(3)}
 
 
-def _pass():
+def _symbolic_pass():
     for runner, _ in _SUITES.values():
         runner(None, False)
     for runner, supports_gq in _SUITES.values():
@@ -38,8 +35,54 @@ def _pass():
             runner(None, True)
 
 
-def warm_symbolic_counts(mp):
-    """The counts of the second of two symbolic passes from an empty memo."""
+def _point_pass():
+    for runner, _ in _SUITES.values():
+        runner(POINT, False)
+
+
+#: row -> (its passes, the counts of the last one)
+ROWS = {
+    "warm symbolic": (
+        (_symbolic_pass, _symbolic_pass),
+        {
+            "scalar._field_op": 152,
+            "Scalar.substitute": 149,
+            "RewriteSystem.normal_form": 802,
+            "RewriteSystem.find_redex": 3980,
+        },
+    ),
+    "cold symbolic": (
+        (_symbolic_pass,),
+        {
+            "scalar._field_op": 154,
+            "Scalar.substitute": 149,
+            "RewriteSystem.normal_form": 1522,
+            "RewriteSystem.find_redex": 5828,
+        },
+    ),
+    "first at u=2,s=3": (
+        (_point_pass,),
+        {
+            "scalar._field_op": 75,
+            "Scalar.substitute": 419,
+            "RewriteSystem.normal_form": 1302,
+            "RewriteSystem.find_redex": 5153,
+        },
+    ),
+    "second at u=2,s=3": (
+        (_point_pass, _point_pass),
+        {
+            "scalar._field_op": 75,
+            "Scalar.substitute": 149,
+            "RewriteSystem.normal_form": 618,
+            "RewriteSystem.find_redex": 3348,
+        },
+    ),
+}
+
+
+def work_counts(mp, passes):
+    """The counts of the last of `passes`, run in order from an empty memo."""
     counts = Counter()
 
     def counting(owner, name, key):
@@ -58,16 +101,25 @@ def warm_symbolic_counts(mp):
     counting(sc.Scalar, "substitute", "Scalar.substitute")
     counting(RewriteSystem, "normal_form", "RewriteSystem.normal_form")
     counting(RewriteSystem, "find_redex", "RewriteSystem.find_redex")
-    _pass()
+    for run in passes[:-1]:
+        run()
     counts.clear()
-    _pass()
-    return dict(counts)
+    passes[-1]()
+    return {key: counts[key] for key in ROWS["warm symbolic"][1]}
 
 
 def test_warm_symbolic_pass_counts(monkeypatch):
-    assert warm_symbolic_counts(monkeypatch) == WARM_SYMBOLIC_COUNTS
+    passes, expected = ROWS["warm symbolic"]
+    assert work_counts(monkeypatch, passes) == expected
+
+
+@pytest.mark.parametrize("row", [row for row in ROWS if row != "warm symbolic"])
+def test_pass_counts(row, monkeypatch):
+    passes, expected = ROWS[row]
+    assert work_counts(monkeypatch, passes) == expected
 
 
 if __name__ == "__main__":
-    with pytest.MonkeyPatch.context() as mp:
-        print(warm_symbolic_counts(mp))
+    for row, (passes, _) in ROWS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            print(f"{row}: {work_counts(mp, passes)}")
