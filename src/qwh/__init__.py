@@ -27,7 +27,7 @@ from .diffcalc import (
     wz_system,
 )
 from .exprparse import ParseError, SourceSpan, parse_poly_text, parse_scalar_text
-from .freealg import GenTable, MonomialOrder, NCPoly
+from .freealg import GenTable, NCPoly, deglex_key
 from .linalg import (
     Matrix,
     eigenspace_identification,

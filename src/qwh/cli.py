@@ -256,7 +256,7 @@ def normalize(algebra, expr, params):
         system = pres.rewrite_system()
     except _INPUT_ERRORS as exc:
         _fail(exc)
-    click.echo(system.normal_form(poly).render(pres.order))
+    click.echo(system.normal_form(poly).render())
 
 
 @main.command("d")
@@ -274,7 +274,7 @@ def derivative(index, expr, params):
         out = apply_derivative(index, poly, bindings=bindings)
     except _INPUT_ERRORS as exc:
         _fail(exc)
-    click.echo(xspace.rewrite_system().normal_form(out).render(xspace.order))
+    click.echo(xspace.rewrite_system().normal_form(out).render())
 
 
 @main.command()

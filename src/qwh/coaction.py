@@ -30,7 +30,8 @@ class CoactionError(Exception):
 
 class MixedAlgebra(TensorAlgebra):
     """The space block (first) tensored with the group block (second), with
-    the coaction delta(x_i) = sum_j T_ij (x) x_j of each space generator."""
+    the coaction delta(x_i) = sum_j T_ij (x) x_j of each space generator,
+    x_i being generator `self.vector[i]` (the space's `vector`, or table order)."""
 
     def __init__(self, group: Presentation, space: Presentation):
         if group.matrix is None:
@@ -43,11 +44,16 @@ class MixedAlgebra(TensorAlgebra):
         super().__init__(space, group)
         self.group = group
         self.space = space
+        self.vector = space.vector or tuple(range(len(space.table)))
         self.images = {}
-        for x, row in enumerate(group.matrix):
-            pairs = [(g, y) for y, g in enumerate(row) if g is not None]
+        for x, row in zip(self.vector, group.matrix):
+            pairs = [(g, y) for y, g in zip(self.vector, row) if g is not None]
             words = {(self.second[g], self.first[y]): ONE for g, y in pairs}
             self.images[x] = NCPoly(self.table, words)
+
+    def coordinates(self, w: Word) -> Word:
+        """A space word as the coordinate index of each letter."""
+        return tuple(self.vector.index(g) for g in w)
 
     def coact(self, p: NCPoly) -> NCPoly:
         """delta extended multiplicatively to polynomials; result is not
@@ -90,9 +96,7 @@ def comodule_check(
     group relations, the space relations and the commutation of the two."""
     suite = suite or f"comodule({space.name},{group.name})"
     items = [
-        CheckItem.all_zero(
-            f"coaction preserves {rel.render(space.order)} = 0", [residual], mixed.order
-        )
+        CheckItem.all_zero(f"coaction preserves {rel.render()} = 0", [residual])
         for rel, residual, mixed in comodule_residuals(space, group)
     ]
     return CheckReport.from_items(suite, items)
@@ -112,7 +116,9 @@ def derive_group_constraints(space: Presentation, group: Presentation) -> List[N
         for w, c in mixed.normal_form(mixed.coact(rel), system).terms.items():
             sword, gword = mixed.split(w)
             coeffs.setdefault(sword, {})[gword] = c
-        constraints.extend(NCPoly(group.table, coeffs[sw]) for sw in sorted(coeffs))
+        constraints.extend(
+            NCPoly(group.table, coeffs[sw]) for sw in sorted(coeffs, key=mixed.coordinates)
+        )
     return constraints
 
 
@@ -192,14 +198,14 @@ def ansatz_equations(
         raise CoactionError(f"{group.name} carries no degree grading")
     keyed = []
     for i, (rel, residual, mixed) in enumerate(comodule_residuals(ansatz, group)):
-        template = rel.render(ansatz.order)
+        template = rel.render()
         for w, c in residual.terms.items():
             sword, gword = mixed.split(w)
             d = sum(group.degree[g] for g in gword)
             sname = "*".join(ansatz.table.name(g) for g in sword)
             wname = "*".join(group.table.name(g) for g in gword)
             label = f"coact({template}): coefficient of {wname} (x) {sname} at degree {d}"
-            keyed.append(((i, sword, d, gword), label, c))
+            keyed.append(((i, mixed.coordinates(sword), d, gword), label, c))
     keyed.sort(key=lambda e: e[0])
     return [(label, c) for _, label, c in keyed]
 

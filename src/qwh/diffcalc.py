@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import List
 
-from .freealg import GenTable, MonomialOrder, NCPoly
+from .freealg import GenTable, NCPoly
 from .linalg import Matrix, involution_check, kron, rhat_builtin
 from .memo import memoised
 from .presentations import X_DEGREES, X_GENS, XI_GENS, Presentation, builtin
@@ -51,7 +51,6 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
             "the deformation matrix must be involutive (its inverse is itself)"
         )
     table = GenTable(_D_GENS + X_GENS + XI_GENS)
-    order = MonomialOrder.default(table)
 
     rels: List[NCPoly] = []
     for space in (
@@ -86,7 +85,6 @@ def wz_relations(generic_q: bool = False, bindings=None) -> Presentation:
         name="wz_generic_q" if generic_q else "wz",
         table=table,
         relations=rels,
-        order=order,
         degree={table.gen(n): d for n, d in WZ_DEGREES.items()},
     )
 
@@ -140,9 +138,9 @@ def twisted_leibniz_check(bindings=None) -> CheckReport:
             ok = xsys.normal_form(out).is_zero()
             items.append(
                 CheckItem(
-                    f"derivative {i} annihilates relation {rel.render(xspace.order)}",
+                    f"derivative {i} annihilates relation {rel.render()}",
                     ok,
-                    residual=None if ok else out.render(xspace.order),
+                    residual=None if ok else out.render(),
                 )
             )
     for _ in range(20):
@@ -155,7 +153,7 @@ def twisted_leibniz_check(bindings=None) -> CheckReport:
         ok = xsys.normal_form(via_raw - via_nf).is_zero()
         items.append(
             CheckItem(
-                f"derivative {i} on {'1' if not word else p.render(xspace.order)}:"
+                f"derivative {i} on {'1' if not word else p.render()}:"
                 " raw and normal-ordered representatives agree",
                 ok,
             )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from . import scalar as sc
@@ -17,8 +16,8 @@ class AlgebraError(Exception):
 
 
 class GenTable:
-    """Ordered table of named generators; position = default precedence rank
-    (earlier entries are larger in the monomial order)."""
+    """Ordered table of named generators; a generator's position is its
+    rank in the monomial order (earlier entries are larger, `deglex_key`)."""
 
     def __init__(self, names):
         names = list(names)
@@ -62,29 +61,11 @@ class GenTable:
         return f"GenTable({self.names})"
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Degree-lexicographic order; `rank` maps generator id to precedence
-    position (rank 0 = largest letter)."""
-
-    rank: Tuple[int, ...]
-
-    @staticmethod
-    def default(table: GenTable) -> "MonomialOrder":
-        return MonomialOrder(tuple(range(len(table))))
-
-    @staticmethod
-    def from_precedence(table: GenTable, names) -> "MonomialOrder":
-        if sorted(names) != sorted(table.names):
-            raise AlgebraError("precedence list must mention every generator once")
-        rank = [0] * len(table)
-        for pos, n in enumerate(names):
-            rank[table.gen(n)] = pos
-        return MonomialOrder(tuple(rank))
-
-    def key(self, w: Word):
-        """Sort key: ascending key order = ascending monomial order."""
-        return (len(w), tuple(-self.rank[g] for g in w))
+def deglex_key(w: Word):
+    """Sort key of the degree-lexicographic order, in which a generator's
+    table position is its rank: ascending key = ascending order, and
+    generator id 0 is the largest letter."""
+    return (len(w), tuple(-g for g in w))
 
 
 class NCPoly:
@@ -192,10 +173,10 @@ class NCPoly:
 
     # -- structure --------------------------------------------------------
 
-    def leading_term(self, ord: MonomialOrder) -> Tuple[Word, Scalar]:
+    def leading_term(self) -> Tuple[Word, Scalar]:
         if not self.terms:
             raise AlgebraError("leading term of the zero polynomial")
-        w = max(self.terms, key=ord.key)
+        w = max(self.terms, key=deglex_key)
         return w, self.terms[w]
 
     def substitute_scalars(self, bindings) -> "NCPoly":
@@ -238,13 +219,12 @@ class NCPoly:
 
     # -- rendering --------------------------------------------------------
 
-    def render(self, ord: Optional[MonomialOrder] = None) -> str:
+    def render(self, order=deglex_key) -> str:
+        """The terms by descending `order`, a sort key on words."""
         if not self.terms:
             return "0"
-        if ord is None:
-            ord = MonomialOrder.default(self.table)
         pieces = []
-        for w in sorted(self.terms, key=ord.key, reverse=True):
+        for w in sorted(self.terms, key=order, reverse=True):
             c = self.terms[w]
             cs = str(c)
             neg = False

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import scalar as sc
 from .exprparse import NAME, ParseError, SourceSpan, parse_poly_text
-from .freealg import AlgebraError, GenTable, MonomialOrder, NCPoly, Word
+from .freealg import AlgebraError, GenTable, NCPoly, Word, deglex_key
 from .memo import specialised
 from .rewrite import RewriteSystem, build_rules
 
@@ -21,13 +21,17 @@ class Presentation:
     name: str
     table: GenTable
     relations: List[NCPoly]
-    order: MonomialOrder
+    #: the generator ids in coordinate order, as a space on which a matrix
+    #: coacts (None = table order)
+    vector: Optional[Tuple[int, ...]] = None
     degree: Optional[Dict[int, int]] = None
     # 3x3 grid of generator ids (None = entry forced to zero) for quantum matrices
     matrix: Optional[Tuple[Tuple[Optional[int], ...], ...]] = None
     _system: Optional[RewriteSystem] = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: the monomial order's sort key on words, the same for every presentation
+    order = staticmethod(deglex_key)
 
     def __post_init__(self):
         if self.degree is not None:
@@ -38,7 +42,7 @@ class Presentation:
         """`build_rules` of the relations, built on the first call and kept
         for as long as this presentation lives; callers must not mutate it."""
         if self._system is None:
-            self._system = build_rules(self.relations, self.order, self.table)
+            self._system = build_rules(self.relations, self.table)
         return self._system
 
     def substitute(self, bindings) -> "Presentation":
@@ -46,7 +50,7 @@ class Presentation:
             name=self.name,
             table=self.table,
             relations=[r.substitute_scalars(bindings) for r in self.relations],
-            order=self.order,
+            vector=self.vector,
             degree=self.degree,
             matrix=self.matrix,
         )
@@ -57,7 +61,7 @@ class TensorAlgebra:
     first block's generators, then the second's, with every letter of one
     block commuting with every letter of the other.
 
-    Each block keeps its own precedence and the first block ranks above
+    Each block keeps its own table order and the first block ranks above
     the second, so a normal word reads its second-block letters first, and
     the normal form of tensor(a, b) is b's word followed by a's.  No joint
     rewrite system is built: `normal_form` reduces each block in its own.
@@ -66,9 +70,6 @@ class TensorAlgebra:
     def __init__(self, first: Presentation, second: Presentation, names=None):
         n = len(first.table)
         self.table = GenTable(names or first.table.names + second.table.names)
-        self.order = MonomialOrder(
-            first.order.rank + tuple(n + r for r in second.order.rank)
-        )
         #: gid maps from each block's table into the joint one
         self.first = {g: g for g in range(n)}
         self.second = {g: n + g for g in range(len(second.table))}
@@ -137,6 +138,14 @@ X_DEGREES = (1, -1, 0)
 
 
 def _pres(name, gens, rel_texts, matrix=None, precedence=None):
+    """A built-in presentation; `precedence`, a permutation of `gens`, lists
+    the table in monomial order, while `gens` stays the coordinate order."""
+    vector = None
+    if precedence is not None:
+        if sorted(precedence) != sorted(gens):
+            raise AlgebraError("precedence list must mention every generator once")
+        vector = tuple(precedence.index(n) for n in gens)
+        gens = precedence
     table = GenTable(gens)
     rels = [NCPoly.parse(table, t) for t in rel_texts]
     degree = mat = None
@@ -151,16 +160,11 @@ def _pres(name, gens, rel_texts, matrix=None, precedence=None):
         }
         # the determinant inverse, off the grid, has degree 0
         degree = {g: grid.get(g, 0) for g in range(len(table))}
-    order = (
-        MonomialOrder.default(table)
-        if precedence is None
-        else MonomialOrder.from_precedence(table, precedence)
-    )
     return Presentation(
         name=name,
         table=table,
         relations=rels,
-        order=order,
+        vector=vector,
         degree=degree,
         matrix=mat,
     )
@@ -470,6 +474,5 @@ def parse_presentation(text: str, file: str = "<presentation>") -> Presentation:
         name=name,
         table=table,
         relations=relations,
-        order=MonomialOrder.default(table),
         degree=degree,
     )

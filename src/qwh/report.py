@@ -20,14 +20,13 @@ class CheckItem:
     residual: Optional[str] = None
 
     @staticmethod
-    def all_zero(label: str, polys, order) -> "CheckItem":
+    def all_zero(label: str, polys) -> "CheckItem":
         """Passes when every polynomial is zero; otherwise the first nonzero
-        one, rendered in `order`, is the residual.  `polys` is read only up
-        to that one."""
+        one is the residual.  `polys` is read only up to that one."""
         witness = next((p for p in polys if not p.is_zero()), None)
         if witness is None:
             return CheckItem(label, True)
-        return CheckItem(label, False, residual=witness.render(order))
+        return CheckItem(label, False, residual=witness.render())
 
     @property
     def status(self) -> str:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from . import scalar as sc
-from .freealg import AlgebraError, GenTable, MonomialOrder, NCPoly, Word
+from .freealg import AlgebraError, GenTable, NCPoly, Word, deglex_key
 from .report import CheckItem, CheckReport
 
 
@@ -31,9 +31,8 @@ class Overlap:
 
 
 class RewriteSystem:
-    def __init__(self, table: GenTable, order: MonomialOrder, rules: List[RewriteRule]):
+    def __init__(self, table: GenTable, rules: List[RewriteRule]):
         self.table = table
-        self.order = order
         self.rules = list(rules)
         # each lhs to its lowest rule index, probed longest lhs first
         self._by_lhs: Dict[Word, int] = {}
@@ -87,14 +86,13 @@ class RewriteSystem:
         """
         if p.table != self.table:
             raise AlgebraError("polynomial over a different generator table")
-        rank = self.order.rank.__getitem__
         pending: Dict[Word, sc.Scalar] = dict(p.terms)
-        # the least entry is the largest word: the longest, then of least ranks
-        heap = [(-len(w), tuple(map(rank, w)), w) for w in pending]
+        # the least entry is the largest word: the longest, then of least ids
+        heap = [(-len(w), w) for w in pending]
         heapq.heapify(heap)
         out: Dict[Word, sc.Scalar] = {}
         while heap:
-            w = heapq.heappop(heap)[2]
+            w = heapq.heappop(heap)[1]
             c = pending.pop(w)
             if c.is_zero():
                 continue
@@ -110,7 +108,7 @@ class RewriteSystem:
                 old = pending.get(v)
                 if old is None:
                     pending[v] = c * rc
-                    heapq.heappush(heap, (-len(v), tuple(map(rank, v)), v))
+                    heapq.heappush(heap, (-len(v), v))
                 else:
                     pending[v] = old + c * rc
         return NCPoly(self.table, out)
@@ -152,21 +150,17 @@ def eliminate_rows(
     return pivots
 
 
-def interreduce_relations(
-    relations: List[NCPoly], order: MonomialOrder
-) -> List[NCPoly]:
+def interreduce_relations(relations: List[NCPoly]) -> List[NCPoly]:
     """Reduced echelon form of the Scalar-linear span of the relations, the
     words in descending monomial order as columns: monic polynomials by
     descending leading word, no leading word occurring in another row."""
     rows = [dict(p.terms) for p in relations]
-    words = sorted({w for p in relations for w in p.terms}, key=order.key, reverse=True)
+    words = sorted({w for p in relations for w in p.terms}, key=deglex_key, reverse=True)
     rank = len(eliminate_rows(rows, words))
     return [NCPoly(relations[0].table, row) for row in rows[:rank]]
 
 
-def build_rules(
-    relations: List[NCPoly], order: MonomialOrder, table: GenTable
-) -> RewriteSystem:
+def build_rules(relations: List[NCPoly], table: GenTable) -> RewriteSystem:
     """Orient a relation span into a rewrite system with normal rhs.
 
     Each rhs is reduced once, in the system before any rhs is: whether a
@@ -176,14 +170,14 @@ def build_rules(
         if r.table != table:
             raise AlgebraError("mismatched generator tables")
     rules = []
-    for p in interreduce_relations([r for r in relations if not r.is_zero()], order):
-        lw, _ = p.leading_term(order)
+    for p in interreduce_relations([r for r in relations if not r.is_zero()]):
+        lw, _ = p.leading_term()
         if lw == ():
             raise RewriteError("inconsistent presentation: ideal contains the unit")
         rules.append(RewriteRule(lw, NCPoly.word(table, lw) - p))
-    unreduced = RewriteSystem(table, order, rules)
+    unreduced = RewriteSystem(table, rules)
     return RewriteSystem(
-        table, order, [RewriteRule(r.lhs, unreduced.normal_form(r.rhs)) for r in rules]
+        table, [RewriteRule(r.lhs, unreduced.normal_form(r.rhs)) for r in rules]
     )
 
 
@@ -209,7 +203,7 @@ def overlaps(sys: RewriteSystem) -> List[Overlap]:
                     if la[pos : pos + len(lb)] == lb:
                         out.append(Overlap(a, b, la, pos))
     # deterministic order
-    out.sort(key=lambda o: (sys.order.key(o.word), o.rule_a, o.rule_b, o.pos_b))
+    out.sort(key=lambda o: (deglex_key(o.word), o.rule_a, o.rule_b, o.pos_b))
     return out
 
 
@@ -226,9 +220,7 @@ def _overlap_label(sys: RewriteSystem, ov: Overlap) -> str:
 
 def diamond_check(sys: RewriteSystem, suite: str = "diamond") -> CheckReport:
     items = [
-        CheckItem.all_zero(
-            _overlap_label(sys, ov), [overlap_residual(sys, ov)], sys.order
-        )
+        CheckItem.all_zero(_overlap_label(sys, ov), [overlap_residual(sys, ov)])
         for ov in overlaps(sys)
     ]
     return CheckReport.from_items(suite, items)
@@ -262,7 +254,7 @@ def complete(sys: RewriteSystem, max_word_len: int) -> RewriteSystem:
         all_rel = [
             NCPoly.word(cur.table, r.lhs) - r.rhs for r in cur.rules
         ] + new_relations
-        cur = build_rules(all_rel, cur.order, cur.table)
+        cur = build_rules(all_rel, cur.table)
         if any(len(r.lhs) > max_word_len for r in cur.rules):
             raise RewriteError(f"a rule longer than {max_word_len} letters")
     raise RewriteError("completion did not stabilize")

@@ -183,7 +183,7 @@ def test_criterion_09_differential_calculus(criterion):
     # classical limit on all monomials up to length 4
     b = {"u": 1, "s": 0}
     classical = builtin("classical_R").substitute({"s": 0})
-    csys = build_rules(classical.relations, classical.order, classical.table)
+    csys = build_rules(classical.relations, classical.table)
     classical_ok = True
     for length in range(5):
         for word in itertools.product(range(3), repeat=length):

@@ -48,7 +48,7 @@ def test_relations_are_graded():
         degs = {
             sum(WZ_DEGREES[pres.table.name(g)] for g in w) for w in rel.terms
         }
-        assert len(degs) == 1, rel.render(pres.order)
+        assert len(degs) == 1, rel.render()
 
 
 def test_generic_q_confluence_fails_with_q_u2_residuals():
@@ -111,7 +111,7 @@ def test_classical_limit_matches_partial_derivatives():
     b = {"u": 1, "s": 0}
     table = XSPACE.table
     classical = builtin("classical_R").substitute({"s": 0})
-    csys = build_rules(classical.relations, classical.order, classical.table)
+    csys = build_rules(classical.relations, classical.table)
     for length in range(5):
         for word in itertools.product(range(3), repeat=length):
             p = NCPoly.word(table, word)

@@ -97,7 +97,7 @@ def test_memoised_systems_match_fresh_builds(bindings):
 
     wz = wz_relations(bindings=bindings)
     assert _rules(wz_system(bindings=bindings)) == _rules(
-        build_rules(wz.relations, wz.order, wz.table)
+        build_rules(wz.relations, wz.table)
     )
 
     rtt7_span_check(bindings)
@@ -114,7 +114,7 @@ def test_memoised_systems_match_fresh_builds(bindings):
         ext = at(builtin("TDinv" if which == "H8" else "tdinv"))
         to_ext = pres.table.gid_map(ext.table)
         lifted = [r.relabel(ext.table, to_ext) for r in pres.relations]
-        fresh = build_rules(lifted + ext.relations, ext.order, ext.table)
+        fresh = build_rules(lifted + ext.relations, ext.table)
         assert _rules(extended_system(which, bindings)) == _rules(fresh)
 
 
@@ -124,7 +124,7 @@ def test_builtins_at_a_point_match_fresh_substitution(name):
     assert builtin(name).relations == fresh.relations
     at_point = builtin(name, POINT)
     assert at_point.relations == fresh.substitute(POINT).relations
-    assert at_point.table == fresh.table and at_point.order == fresh.order
+    assert at_point.table == fresh.table and at_point.vector == fresh.vector
     assert builtin(name, {"s": Fraction(3), "u": Fraction(2)}) is at_point
     assert builtin(name) is builtin(name, {})
 
@@ -177,10 +177,9 @@ def test_a_pass_at_a_point_builds_each_system_once(monkeypatch):
     built = Counter()
     real = rewrite.build_rules
 
-    def counting(relations, order, table=None):
-        names = tuple((table or relations[0].table).names)
-        built[names, tuple(map(str, relations))] += 1
-        return real(relations, order, table)
+    def counting(relations, table):
+        built[tuple(table.names), tuple(map(str, relations))] += 1
+        return real(relations, table)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("qwh")]:
         if getattr(module, "build_rules", None) is real:

@@ -4,9 +4,11 @@ import pytest
 
 from qwh.diffcalc import wz_relations
 from qwh.exprparse import ParseError
-from qwh.freealg import NCPoly
+from qwh.freealg import AlgebraError, NCPoly
 from qwh.presentations import (
     BUILTIN_NAMES,
+    XI_GENS,
+    _pres,
     builtin,
     parse_presentation,
     transcribed_T_constraints,
@@ -82,7 +84,7 @@ def test_degree_homomorphism_consistency():
         degs = {
             sum(T_DEGREES[pres.table.name(g)] for g in w) for w in rel.terms
         }
-        assert len(degs) == 1, rel.render(pres.order)
+        assert len(degs) == 1, rel.render()
 
 
 def test_transcribed_constraints_are_implied_by_TT7():
@@ -92,16 +94,16 @@ def test_transcribed_constraints_are_implied_by_TT7():
     from qwh.exprparse import parse_scalar_text
 
     pres = builtin("TT7")
-    sys_ = build_rules(pres.relations, pres.order, pres.table)
+    sys_ = build_rules(pres.relations, pres.table)
     u2 = parse_scalar_text("u^2")
     for rel in transcribed_T_constraints():
         tied = rel.substitute_scalars({"q": u2})
-        assert sys_.normal_form(tied).is_zero(), rel.render(pres.order)
+        assert sys_.normal_form(tied).is_zero(), rel.render()
 
 
 def test_substitute_produces_new_presentation():
     pres = builtin("xspace").substitute({"u": 2, "s": 3})
-    sys_ = build_rules(pres.relations, pres.order, pres.table)
+    sys_ = build_rules(pres.relations, pres.table)
     out = sys_.normal_form(NCPoly.parse(pres.table, "x1*x2"))
     assert out == NCPoly.parse(pres.table, "4*x2*x1 + 3*x3*x3")
 
@@ -117,12 +119,52 @@ rel a*b = u*b*a
 """
 
 
+@pytest.mark.parametrize(
+    "precedence",
+    [["xi3", "xi2"], ["xi3", "xi2", "xi1", "xi4"], ["xi3", "xi3", "xi1"]],
+    ids=["missing", "extra", "repeated"],
+)
+def test_precedence_must_list_every_generator_once(precedence):
+    with pytest.raises(AlgebraError, match="must mention every generator once"):
+        _pres("bad", XI_GENS, ["xi1*xi2"], precedence=precedence)
+
+
+#: the general one-form ansatz, its precedence on the generators line
+ANSATZ_DSL = """
+algebra ansatz
+params k c21 lam lam12 mu mu12
+generators xi3 > xi2 > xi1
+rel xi1*xi1
+rel xi2*xi2
+rel xi3*xi3 = k*xi1*xi2
+rel xi2*xi1 = c21*xi1*xi2
+rel xi3*xi1 = lam*xi1*xi3 + lam12*xi1*xi2
+rel xi3*xi2 = mu*xi2*xi3 + mu12*xi1*xi2
+"""
+
+
+def _named_rules(pres):
+    table = pres.table
+    return [
+        ("*".join(table.name(g) for g in r.lhs), r.rhs.render())
+        for r in pres.rewrite_system().rules
+    ]
+
+
+def test_dsl_precedence_orders_like_the_builtin_ansatz():
+    """A DSL file and a built-in with the same generators line order their
+    words alike: the same rules, by name."""
+    rules = _named_rules(parse_presentation(ANSATZ_DSL))
+    assert rules == _named_rules(builtin("ansatz_xi"))
+    assert ("xi3*xi3", "k*xi1*xi2") in rules
+
+
 def test_dsl_round_trip():
     pres = parse_presentation(DSL)
     assert pres.name == "toy"
     assert [pres.table.name(g) for g in range(len(pres.table))] == ["a", "b"]
     assert len(pres.relations) == 1
-    sys_ = build_rules(pres.relations, pres.order, pres.table)
+    sys_ = build_rules(pres.relations, pres.table)
     assert diamond_check(sys_).ok
     out = sys_.normal_form(NCPoly.parse(pres.table, "a*b"))
     assert out == NCPoly.parse(pres.table, "u*b*a")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qwh import memo, quantumgroup, rewrite
 from qwh import scalar as sc
 from qwh.cli import _SUITES, run_suite
-from qwh.freealg import GenTable, MonomialOrder, NCPoly
+from qwh.freealg import GenTable, NCPoly, deglex_key
 from qwh.diffcalc import wz_system
 from qwh.presentations import builtin
 from qwh.quantumgroup import extended_system, group_system
@@ -32,7 +32,7 @@ from qwh.scalar import Scalar
 
 def _system(name):
     pres = builtin(name)
-    return pres, build_rules(pres.relations, pres.order, pres.table)
+    return pres, build_rules(pres.relations, pres.table)
 
 
 XS, XSYS = _system("xspace")
@@ -103,7 +103,7 @@ def test_normal_words_avoid_leading_words():
 def test_builtin_space_systems_are_confluent():
     for name in ("classical_R", "xspace", "xispace", "TT7"):
         pres = builtin(name)
-        sys_ = build_rules(pres.relations, pres.order, pres.table)
+        sys_ = build_rules(pres.relations, pres.table)
         rep = diamond_check(sys_)
         assert rep.ok, rep.render_text()
 
@@ -111,17 +111,16 @@ def test_builtin_space_systems_are_confluent():
 def test_generic_q_coordinate_system_is_confluent():
     # with q free the coordinate algebra alone is still confluent ...
     pres = builtin("xspace_generic_q")
-    sys_ = build_rules(pres.relations, pres.order, pres.table)
+    sys_ = build_rules(pres.relations, pres.table)
     assert diamond_check(sys_).ok
 
 
 def test_interreduce_drops_redundant_relations():
     t = GenTable(["a", "b"])
-    o = MonomialOrder.default(t)
     r1 = NCPoly.parse(t, "a*b - b*a")
-    rows = interreduce_relations([r1, r1.scale(Scalar.from_int(2)), r1 - r1], o)
+    rows = interreduce_relations([r1, r1.scale(Scalar.from_int(2)), r1 - r1])
     assert len(rows) == 1
-    assert rows[0].leading_term(o)[1] == sc.ONE
+    assert rows[0].leading_term()[1] == sc.ONE
 
 
 def test_completion_adds_the_missing_rule():
@@ -129,9 +128,8 @@ def test_completion_adds_the_missing_rule():
     # b*a*b (c*b against b*c): the system is not confluent until
     # completion adds a rule for each
     t = GenTable(["a", "b", "c"])
-    o = MonomialOrder.default(t)
     rels = [NCPoly.parse(t, "a*b - c"), NCPoly.parse(t, "b*a - c")]
-    sys_ = build_rules(rels, o, t)
+    sys_ = build_rules(rels, t)
     assert len(sys_.rules) == 2
     assert not diamond_check(sys_).ok
     done = complete(sys_, max_word_len=4)
@@ -143,9 +141,8 @@ def test_completion_adds_the_missing_rule():
 def test_completion_failure_is_reported():
     # a*b -> b*a*a doubles the word length forever: completion must give up
     t = GenTable(["a", "b"])
-    o = MonomialOrder.from_precedence(t, ["a", "b"])
     rels = [NCPoly.parse(t, "a*a - a*b*a")]
-    sys_ = build_rules(rels, o, t)
+    sys_ = build_rules(rels, t)
     with pytest.raises(RewriteError, match="longer than 4 letters left: 1"):
         complete(sys_, max_word_len=4)
 
@@ -166,9 +163,8 @@ def test_a_left_hand_side_inside_a_longer_one_is_an_overlap():
     # b*c lies strictly inside a*b*c: a*b*c rewrites to c*c*c, or to a*c*b,
     # which no rule reduces further
     t = GenTable(["a", "b", "c"])
-    o = MonomialOrder.default(t)
     rels = [NCPoly.parse(t, "a*b*c - c*c*c"), NCPoly.parse(t, "b*c - c*b")]
-    sys_ = build_rules(rels, o, t)
+    sys_ = build_rules(rels, t)
     assert overlaps(sys_) == [Overlap(rule_a=0, rule_b=1, word=(0, 1, 2), pos_b=1)]
     rep = diamond_check(sys_)
     assert [(i.passed, i.residual) for i in rep.items] == [(False, "-a*c*b + c*c*c")]
@@ -176,7 +172,7 @@ def test_a_left_hand_side_inside_a_longer_one_is_an_overlap():
 
 def test_an_empty_relation_list_builds_a_system_without_rules():
     t = GenTable(["a", "b"])
-    sys_ = build_rules([], MonomialOrder.default(t), t)
+    sys_ = build_rules([], t)
     assert sys_.rules == []
     assert sys_.normal_form(NCPoly.parse(t, "b*a")) == NCPoly.parse(t, "b*a")
 
@@ -263,18 +259,14 @@ def test_find_redex_prefers_the_longest_then_the_first_rule(name, data):
     letters = st.integers(0, len(table) - 1)
     lhs = st.lists(letters, min_size=1, max_size=3).map(tuple)
     lhss = data.draw(st.lists(lhs, min_size=1, max_size=12))
-    system = RewriteSystem(
-        table,
-        MonomialOrder.default(table),
-        [RewriteRule(lhs, NCPoly.zero(table)) for lhs in lhss],
-    )
+    system = RewriteSystem(table, [RewriteRule(lhs, NCPoly.zero(table)) for lhs in lhss])
     w = data.draw(st.lists(letters, max_size=8).map(tuple))
     assert system.find_redex(w) == _scanned_redex(system, w)
 
 
 # -- the shared elimination against the row-by-row paths it replaced -------
 
-def reference_interreduce(relations, order):
+def reference_interreduce(relations):
     """The row-by-row reference: reduce each relation by the pivots so far
     until no pivot word is left in it, make it monic, and clear its leading
     word from the earlier pivots."""
@@ -295,28 +287,28 @@ def reference_interreduce(relations, order):
         p = reduce_row(rel)
         if p.is_zero():
             continue
-        lw, lc = p.leading_term(order)
+        lw, lc = p.leading_term()
         p = p.scale(sc.ONE / lc)
         for w, piv in list(pivots.items()):
             if lw in piv.terms:
                 pivots[w] = piv - p.scale(piv.terms[lw])
         pivots[lw] = p
-    return [pivots[w] for w in sorted(pivots, key=order.key, reverse=True)]
+    return [pivots[w] for w in sorted(pivots, key=deglex_key, reverse=True)]
 
 
-def reference_build_rules(relations, order, table):
+def reference_build_rules(relations, table):
     """The reference orientation: reference rows, then every rhs normalised
     in the current system, round after round, until no rhs changes."""
-    rows = reference_interreduce([r for r in relations if not r.is_zero()], order)
+    rows = reference_interreduce([r for r in relations if not r.is_zero()])
     rules = []
     for p in rows:
-        lw, _ = p.leading_term(order)
+        lw, _ = p.leading_term()
         rules.append(RewriteRule(lw, NCPoly.word(table, lw) - p))
     for _ in range(100):
-        cur = RewriteSystem(table, order, rules)
+        cur = RewriteSystem(table, rules)
         new_rules = [RewriteRule(r.lhs, cur.normal_form(r.rhs)) for r in rules]
         if all(a.rhs.terms == b.rhs.terms for a, b in zip(rules, new_rules)):
-            return RewriteSystem(table, order, new_rules)
+            return RewriteSystem(table, new_rules)
         rules = new_rules
     raise AssertionError("rhs inter-reduction did not stabilize")
 
@@ -367,10 +359,10 @@ def test_elimination_matches_the_row_by_row_paths_on_every_suite_input(
     assert quantumgroup.interreduce_relations is wrapper
     _run_all_suites(monkeypatch, bindings)
     assert len(interreduced) > len(built) > 10
-    for (relations, order), out in interreduced:
-        assert out == reference_interreduce(relations, order)
-    for (relations, order, table), system in built:
-        _assert_same_system(system, reference_build_rules(relations, order, table))
+    for (relations,), out in interreduced:
+        assert out == reference_interreduce(relations)
+    for (relations, table), system in built:
+        _assert_same_system(system, reference_build_rules(relations, table))
 
 
 # -- the merged reduction against the stack loop it replaced ----------------
@@ -448,7 +440,6 @@ def test_each_word_is_searched_once_per_call(monkeypatch):
 
 
 ABC = GenTable(["a", "b", "c"])
-ABC_ORDER = MonomialOrder.default(ABC)
 abc_words = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
 abc_coeffs = st.one_of(
     coeffs,
@@ -476,14 +467,14 @@ def relation_lists(draw):
 def test_interreduced_rows_are_canonical(relations, random):
     """The reduced echelon form of a span does not depend on the order of
     its spanning list, and the row-by-row reference finds the same rows."""
-    rows = interreduce_relations(relations, ABC_ORDER)
+    rows = interreduce_relations(relations)
     shuffled = list(relations)
     random.shuffle(shuffled)
-    assert interreduce_relations(shuffled, ABC_ORDER) == rows
-    assert reference_interreduce(relations, ABC_ORDER) == rows
-    leading = [p.leading_term(ABC_ORDER) for p in rows]
+    assert interreduce_relations(shuffled) == rows
+    assert reference_interreduce(relations) == rows
+    leading = [p.leading_term() for p in rows]
     assert [w for w, _ in leading] == sorted(
-        (w for w, _ in leading), key=ABC_ORDER.key, reverse=True
+        (w for w, _ in leading), key=deglex_key, reverse=True
     )
     for (w, c), p in zip(leading, rows):
         assert c == sc.ONE
@@ -496,6 +487,6 @@ def test_one_rhs_pass_matches_the_rounds_until_stable(relations):
     """Left-hand sides of mixed lengths, so that an rhs can hold a word with
     another rule's lhs inside it."""
     _assert_same_system(
-        build_rules(relations, ABC_ORDER, ABC),
-        reference_build_rules(relations, ABC_ORDER, ABC),
+        build_rules(relations, ABC),
+        reference_build_rules(relations, ABC),
     )

@@ -26,7 +26,7 @@ def joint_system(tensor, first_relations, second_relations):
         for a in tensor.first.values()
         for b in tensor.second.values()
     ]
-    return build_rules(relations, tensor.order, table)
+    return build_rules(relations, table)
 
 
 @pytest.mark.parametrize("bindings", POINTS, ids=POINT_IDS)
