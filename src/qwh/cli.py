@@ -130,9 +130,14 @@ def _fail(message) -> NoReturn:
     sys.exit(2)
 
 
+#: what `d` and `derive` bind: their algebras have q = u^2 built in
+_U_S = ("u", "s")
+
+
 def _parse_params(text: Optional[str], names=("u", "s", "q")) -> Dict[str, Fraction]:
-    """Bindings of `names`; the other parameters are the unknowns of the
-    one-form ansatz, which only a presentation to `normalize` may declare."""
+    """Bindings of `names`; the other parameters are q, where a command has
+    it built in as u^2, and the unknowns of the one-form ansatz, which only a
+    presentation to `normalize` may declare."""
     if not text:
         return {}
     out = {}
@@ -146,6 +151,8 @@ def _parse_params(text: Optional[str], names=("u", "s", "q")) -> Dict[str, Fract
             raise CLIError(f"malformed parameter binding {piece!r} (expected k=v)")
         if key not in names:
             known = ", ".join(sorted(names))
+            if key == "q":
+                raise CLIError(f"q = u^2 is built in here, so q cannot be bound; bindable: {known}")
             if key in sc.PARAM_NAMES:
                 raise CLIError(f"{key} is an ansatz unknown, not a parameter; bindable: {known}")
             raise CLIError(f"unknown parameter {key!r}; known: {known}")
@@ -266,15 +273,16 @@ def normalize(algebra, expr, params):
 def derivative(index, expr, params):
     """Apply a derivative of the invariant calculus to a variable polynomial."""
     try:
-        bindings = _parse_params(params) or None
-        xspace = builtin("xspace", bindings)
-        poly = parse_poly_text(expr, xspace.table)
+        bindings = _parse_params(params, _U_S) or None
+        poly = parse_poly_text(expr, builtin("xspace", bindings).table)
         if bindings:
             poly = poly.substitute_scalars(bindings)
         out = apply_derivative(index, poly, bindings=bindings)
     except _INPUT_ERRORS as exc:
         _fail(exc)
-    click.echo(xspace.rewrite_system().normal_form(out).render())
+    # the calculus orients the variable relations as xspace does, so `out`
+    # is already normal-ordered
+    click.echo(out.render())
 
 
 @main.command()
@@ -290,7 +298,7 @@ def derive(ansatz, params):
     resulting constraint system."""
     name = "ansatz_xi" if ansatz == "xi" else "ansatz_xi3sq_variant"
     try:
-        bindings = _parse_params(params)
+        bindings = _parse_params(params, _U_S)
         system = ansatz_solve(builtin(name, bindings), builtin("TT7", bindings))
     except _INPUT_ERRORS as exc:
         _fail(exc)

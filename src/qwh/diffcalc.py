@@ -5,7 +5,9 @@ confluence, and evaluation of derivatives on normal-ordered monomials.
 Normal words are block-sorted one-forms, then variables, then derivatives;
 the derivative/variable exchange rule is the unique inhomogeneous one (it
 carries the Kronecker term), so reducing a derivative against a polynomial
-in the variables performs differentiation.
+in the variables performs differentiation.  The derivatives act on the
+quantum space, the quotient module A/A{d1, d2, d3} (each kills 1), so that
+reduction drops a word as soon as it ends in a derivative letter.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def wz_system(generic_q: bool = False, bindings=None) -> RewriteSystem:
 
 def wz_confluence(generic_q: bool = False, bindings=None) -> CheckReport:
     """Diamond check of the combined three-block system.  No rule has a
-    derivative letter in second position, so no derivative/derivative
+    derivative letter in second (last) position, so no derivative/derivative
     ambiguity ever forms; the check covers every overlap that exists."""
     system = wz_system(generic_q=generic_q, bindings=bindings)
     return diamond_check(system, suite="diffcalc")
@@ -106,8 +108,10 @@ def wz_confluence(generic_q: bool = False, bindings=None) -> CheckReport:
 
 def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
     """The action of the i-th derivative on a polynomial in the variables:
-    reduce derivative times polynomial in the full calculus, then drop the
-    terms where the derivative letter survives (it acts as zero on 1)."""
+    the normal form of derivative times polynomial in the calculus modulo
+    the left ideal of the derivatives (each acts as zero on 1), so a word is
+    dropped as soon as it ends in a derivative letter.  No lhs of the
+    calculus ends in one (see `wz_confluence`), which makes this exact."""
     if i not in (1, 2, 3):
         raise DiffCalcError(f"derivative index must be 1..3, got {i}")
     system = wz_system(bindings=bindings)
@@ -116,11 +120,13 @@ def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
     if len(to_wz) != len(p.table):
         raise DiffCalcError(f"{p.table} has letters outside the calculus")
     lifted = p.relabel(table, to_wz)
-    image = system.normal_form(NCPoly.word(table, (table.gen(f"d{i}"),)) * lifted)
+    image = system.normal_form(
+        NCPoly.word(table, (table.gen(f"d{i}"),)) * lifted,
+        trailing={table.gen(n) for n in _D_GENS},
+    )
     xi_gids = {table.gen(n) for n in XI_GENS}
     if any(g in xi_gids for w in image.terms for g in w):
         raise DiffCalcError("one-form letter appeared while differentiating")
-    # words keeping a derivative letter die: the table of p has none
     return image.relabel(p.table, table.gid_map(p.table))
 
 

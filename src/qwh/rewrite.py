@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from . import scalar as sc
 from .freealg import AlgebraError, GenTable, NCPoly, Word, deglex_key
@@ -39,6 +39,9 @@ class RewriteSystem:
         for i, r in enumerate(self.rules):
             self._by_lhs.setdefault(r.lhs, i)
         self._lengths = sorted({len(lhs) for lhs in self._by_lhs}, reverse=True)
+        #: the last letters of the left-hand sides; a word ending in any
+        #: other letter ends in it after every rewrite
+        self._lhs_ends = frozenset(lhs[-1] for lhs in self._by_lhs if lhs)
         #: one-word normal forms, word -> {normal word: coefficient}, filled
         #: by `TensorAlgebra.normal_form` for as long as the system lives
         self.word_forms: Dict[Word, Dict[Word, sc.Scalar]] = {}
@@ -72,7 +75,7 @@ class RewriteSystem:
         terms = rule.rhs.terms.items()
         return NCPoly(self.table, {prefix + rw + suffix: rc for rw, rc in terms})
 
-    def normal_form(self, p: NCPoly) -> NCPoly:
+    def normal_form(self, p: NCPoly, trailing: AbstractSet[int] = frozenset()) -> NCPoly:
         """Exhaustive reduction, each word rewritten at its leftmost-outermost
         redex, so the result is the same linear map in a system that is not
         confluent.
@@ -83,10 +86,18 @@ class RewriteSystem:
         so every word a rewrite makes is smaller than the word taken: a word
         taken never comes back, and a word reached along several paths is
         rewritten once.  This also proves termination.
+
+        `trailing` is a set of letters that no lhs ends with.  A word ending
+        in one of them is dropped where it arises, so the result is the
+        normal form modulo the left ideal those letters generate: no rewrite
+        touches such a last letter, so every word the dropped one reduces to
+        ends in it too, and the words kept come out as without `trailing`.
         """
         if p.table != self.table:
             raise AlgebraError("polynomial over a different generator table")
-        pending: Dict[Word, sc.Scalar] = dict(p.terms)
+        if not self._lhs_ends.isdisjoint(trailing):
+            raise RewriteError("a letter to drop ends a left-hand side")
+        pending = {w: c for w, c in p.terms.items() if not (w and w[-1] in trailing)}
         # the least entry is the largest word: the longest, then of least ids
         heap = [(-len(w), w) for w in pending]
         heapq.heapify(heap)
@@ -103,8 +114,13 @@ class RewriteSystem:
             pos, i = m
             rule = self.rules[i]
             prefix, suffix = w[:pos], w[pos + len(rule.lhs) :]
+            # w does not end in a trailing letter, so only a redex at its end
+            # can make a word that does
+            cut = trailing and not suffix
             for rw, rc in rule.rhs.terms.items():
                 v = prefix + rw + suffix
+                if cut and v and v[-1] in trailing:
+                    continue
                 old = pending.get(v)
                 if old is None:
                     pending[v] = c * rc

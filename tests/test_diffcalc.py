@@ -28,6 +28,17 @@ from qwh.scalar import Scalar
 
 XSPACE = builtin("xspace")
 
+POINTS = {
+    "symbolic": None,
+    "u=2,s=3": {"u": Fraction(2), "s": Fraction(3)},
+    "u=1,s=0": {"u": Fraction(1), "s": Fraction(0)},
+    "u=-1,s=0": {"u": Fraction(-1), "s": Fraction(0)},
+}
+
+
+def _x_words(max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product(range(3), repeat=n)]
+
 
 def test_wz_confluence_passes():
     rep = wz_confluence()
@@ -36,10 +47,49 @@ def test_wz_confluence_passes():
 
 
 def test_no_derivative_derivative_overlaps_exist():
-    system = wz_system()
-    d_gids = {system.table.gen(f"d{i}") for i in (1, 2, 3)}
-    for rule in system.rules:
-        assert rule.lhs[1] not in d_gids
+    # no lhs ends in a derivative letter, so no overlap shares one; this is
+    # also what makes `apply_derivative` exact when it drops every word that
+    # ends in one
+    for bindings in (POINTS["symbolic"], POINTS["u=2,s=3"]):
+        system = wz_system(bindings=bindings)
+        d_gids = {system.table.gen(f"d{i}") for i in (1, 2, 3)}
+        assert system.rules
+        for rule in system.rules:
+            assert rule.lhs[-1] not in d_gids
+
+
+@pytest.mark.parametrize("point", list(POINTS))
+def test_derivative_matches_the_full_normal_form_without_derivative_words(point):
+    # the left-ideal reduction against the whole normal form of d_i * p in
+    # the calculus, its words that hold a derivative letter dropped
+    bindings = POINTS[point]
+    system = wz_system(bindings=bindings)
+    table = system.table
+    xtable = builtin("xspace", bindings).table
+    to_wz, from_wz = xtable.gid_map(table), table.gid_map(xtable)
+    dropped = 0
+    for word in _x_words(4):
+        p = NCPoly.word(xtable, word)
+        for i in (1, 2, 3):
+            d_p = NCPoly.word(table, (table.gen(f"d{i}"),)) * p.relabel(table, to_wz)
+            full = system.normal_form(d_p)
+            expected = full.relabel(xtable, from_wz)  # drops every word with a d
+            dropped += len(full.terms) - len(expected.terms)
+            assert apply_derivative(i, p, bindings=bindings) == expected, (point, word, i)
+    assert dropped  # the full normal forms did hold derivative words
+
+
+@pytest.mark.parametrize("point", ["symbolic", "u=2,s=3"])
+def test_derivative_output_is_normal_in_the_coordinate_space(point):
+    # `qwh d` prints the output without reducing it again in xspace
+    bindings = POINTS[point]
+    xspace = builtin("xspace", bindings)
+    xsys = xspace.rewrite_system()
+    for word in _x_words(4):
+        p = NCPoly.word(xspace.table, word)
+        for i in (1, 2, 3):
+            out = apply_derivative(i, p, bindings=bindings)
+            assert xsys.normal_form(out) == out, (point, word, i)
 
 
 def test_relations_are_graded():

@@ -114,17 +114,33 @@ def test_check_all_bad_params_exit_two():
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["check", "--suite", "ansatz"], ["derive"], ["d", "-i", "1", "-e", "x1"]],
+    "command, bindable",
+    [
+        (["check", "--suite", "ansatz"], "q, s, u"),
+        (["derive"], "s, u"),
+        (["d", "-i", "1", "-e", "x1"], "s, u"),
+    ],
     ids=["check", "derive", "d"],
 )
 @pytest.mark.parametrize("unknown", ["k", "lam12", "mu12", "c21", "lam", "mu"])
-def test_ansatz_unknowns_cannot_be_bound(command, unknown):
+def test_ansatz_unknowns_cannot_be_bound(command, bindable, unknown):
     # binding what the ansatz solves for would report on a different problem
     res = run(command + ["-p", f"u=2,{unknown}=0"])
     _assert_one_line_error(res, "")
     assert res.output == (
-        f"error: {unknown} is an ansatz unknown, not a parameter; bindable: q, s, u\n"
+        f"error: {unknown} is an ansatz unknown, not a parameter; bindable: {bindable}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command", [["d", "-i", "1", "-e", "x1*x2"], ["derive"]], ids=["d", "derive"]
+)
+def test_d_and_derive_refuse_a_bound_q(command):
+    # their algebras have q = u^2 built in: a bound q would be ignored
+    res = run(command + ["-p", "q=2"])
+    _assert_one_line_error(res, "")
+    assert res.output == (
+        "error: q = u^2 is built in here, so q cannot be bound; bindable: s, u\n"
     )
 
 

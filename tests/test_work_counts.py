@@ -3,17 +3,20 @@ host's speed cannot blur.
 
 A symbolic pass runs the 18 suites and then the three generic-q variants,
 as `perfbench/run.py --workload suites-symbolic` does; a pass at a point
-runs the 18 suites at u=2, s=3.  Each row starts from an empty memo, runs
-its passes, and counts the last one: sums that enter sympy's field
-(`scalar._field_op`), substitutions into scalars (`Scalar.substitute`),
-normal forms (`RewriteSystem.normal_form`) and redex searches
-(`RewriteSystem.find_redex`).  The counts do not depend on the hash seed.
+runs the 18 suites at u=2, s=3; a derivative pass applies each of the three
+derivatives to every coordinate word up to length 4 (363 queries), as
+`perfbench/run.py --workload calculus-queries` does first.  Each row starts
+from an empty memo, runs its passes, and counts the last one: sums that
+enter sympy's field (`scalar._field_op`), substitutions into scalars
+(`Scalar.substitute`), normal forms (`RewriteSystem.normal_form`) and redex
+searches (`RewriteSystem.find_redex`).  The counts do not depend on the hash seed.
 They are a record, not a bound: a change that moves them states each count,
 old -> new, and why.  Print every row of the tree under test with
 
     PYTHONPATH=src python tests/test_work_counts.py
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +25,9 @@ import pytest
 from qwh import memo
 from qwh import scalar as sc
 from qwh.cli import _SUITES
+from qwh.diffcalc import apply_derivative
+from qwh.freealg import NCPoly
+from qwh.presentations import builtin
 from qwh.rewrite import RewriteSystem
 
 POINT = {"u": Fraction(2), "s": Fraction(3)}
@@ -40,24 +46,33 @@ def _point_pass():
         runner(POINT, False)
 
 
+def _derivative_pass():
+    table = builtin("xspace").table
+    for n in range(5):
+        for word in itertools.product(range(len(table)), repeat=n):
+            p = NCPoly.word(table, word)
+            for i in (1, 2, 3):
+                apply_derivative(i, p)
+
+
 #: row -> (its passes, the counts of the last one)
 ROWS = {
     "warm symbolic": (
         (_symbolic_pass, _symbolic_pass),
         {
-            "scalar._field_op": 152,
+            "scalar._field_op": 145,
             "Scalar.substitute": 149,
             "RewriteSystem.normal_form": 802,
-            "RewriteSystem.find_redex": 3980,
+            "RewriteSystem.find_redex": 3873,
         },
     ),
     "cold symbolic": (
         (_symbolic_pass,),
         {
-            "scalar._field_op": 154,
+            "scalar._field_op": 147,
             "Scalar.substitute": 149,
             "RewriteSystem.normal_form": 1522,
-            "RewriteSystem.find_redex": 5828,
+            "RewriteSystem.find_redex": 5721,
         },
     ),
     "first at u=2,s=3": (
@@ -66,7 +81,7 @@ ROWS = {
             "scalar._field_op": 75,
             "Scalar.substitute": 419,
             "RewriteSystem.normal_form": 1302,
-            "RewriteSystem.find_redex": 5153,
+            "RewriteSystem.find_redex": 5046,
         },
     ),
     "second at u=2,s=3": (
@@ -75,7 +90,16 @@ ROWS = {
             "scalar._field_op": 75,
             "Scalar.substitute": 149,
             "RewriteSystem.normal_form": 618,
-            "RewriteSystem.find_redex": 3348,
+            "RewriteSystem.find_redex": 3241,
+        },
+    ),
+    "warm derivatives": (
+        (_derivative_pass, _derivative_pass),
+        {
+            "scalar._field_op": 226,
+            "Scalar.substitute": 0,
+            "RewriteSystem.normal_form": 363,
+            "RewriteSystem.find_redex": 2761,
         },
     ),
 }
@@ -88,9 +112,9 @@ def work_counts(mp, passes):
     def counting(owner, name, key):
         real = getattr(owner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         mp.setattr(owner, name, wrapper)
 
