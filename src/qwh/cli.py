@@ -130,14 +130,21 @@ def _fail(message) -> NoReturn:
     sys.exit(2)
 
 
-#: what `d` and `derive` bind: their algebras have q = u^2 built in
+#: what `check`, `d` and `derive` bind: their algebras have q = u^2 built
+#: in, and `check --generic-q` keeps q free of u but unbound
 _U_S = ("u", "s")
 
+#: why a bound q is refused where q = u^2 is built in; `known` lists `names`
+_Q_BUILT_IN = "q = u^2 is built in here, so q cannot be bound; bindable: {known}"
+_Q_GENERIC = "--generic-q keeps q independent of u; it cannot be combined with a bound q"
 
-def _parse_params(text: Optional[str], names=("u", "s", "q")) -> Dict[str, Fraction]:
+
+def _parse_params(
+    text: Optional[str], names=_U_S, q_error=_Q_BUILT_IN
+) -> Dict[str, Fraction]:
     """Bindings of `names`; the other parameters are q, where a command has
-    it built in as u^2, and the unknowns of the one-form ansatz, which only a
-    presentation to `normalize` may declare."""
+    it built in as u^2 (a bound q raises `q_error`), and the unknowns of the
+    one-form ansatz, which only a presentation to `normalize` may declare."""
     if not text:
         return {}
     out = {}
@@ -152,7 +159,7 @@ def _parse_params(text: Optional[str], names=("u", "s", "q")) -> Dict[str, Fract
         if key not in names:
             known = ", ".join(sorted(names))
             if key == "q":
-                raise CLIError(f"q = u^2 is built in here, so q cannot be bound; bindable: {known}")
+                raise CLIError(q_error.format(known=known))
             if key in sc.PARAM_NAMES:
                 raise CLIError(f"{key} is an ansatz unknown, not a parameter; bindable: {known}")
             raise CLIError(f"unknown parameter {key!r}; known: {known}")
@@ -223,10 +230,7 @@ def main():
 def check(suite, params, generic_q, fmt, out):
     """Run a verification suite and exit 0/1/2 for PASS/FAIL/ERROR."""
     try:
-        bindings = _parse_params(params)
-        if generic_q and "q" in bindings:
-            raise CLIError("--generic-q keeps q independent of u; it cannot be "
-                           "combined with a bound q")
+        bindings = _parse_params(params, q_error=_Q_GENERIC if generic_q else _Q_BUILT_IN)
     except CLIError as exc:
         _fail(exc)
 
@@ -273,7 +277,7 @@ def normalize(algebra, expr, params):
 def derivative(index, expr, params):
     """Apply a derivative of the invariant calculus to a variable polynomial."""
     try:
-        bindings = _parse_params(params, _U_S) or None
+        bindings = _parse_params(params) or None
         poly = parse_poly_text(expr, builtin("xspace", bindings).table)
         if bindings:
             poly = poly.substitute_scalars(bindings)
@@ -298,7 +302,7 @@ def derive(ansatz, params):
     resulting constraint system."""
     name = "ansatz_xi" if ansatz == "xi" else "ansatz_xi3sq_variant"
     try:
-        bindings = _parse_params(params, _U_S)
+        bindings = _parse_params(params)
         system = ansatz_solve(builtin(name, bindings), builtin("TT7", bindings))
     except _INPUT_ERRORS as exc:
         _fail(exc)

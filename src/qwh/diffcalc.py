@@ -133,7 +133,10 @@ def apply_derivative(i: int, p: NCPoly, bindings=None) -> NCPoly:
 def twisted_leibniz_check(bindings=None) -> CheckReport:
     """The derivative action is well-defined on the quotient: acting on a
     product before or after normal-ordering it gives the same result, and
-    every variable relation is annihilated; 20 random words, seed 0."""
+    every variable relation is annihilated; 20 random words, seed 0.  A
+    derivative's output is already normal-ordered in the variables (the
+    calculus orients their relations as xspace does), so each item tests it
+    for zero as it stands: an output that is not normal fails."""
     rng = random.Random(0)
     xspace = builtin("xspace", bindings)
     xsys = xspace.rewrite_system()
@@ -141,7 +144,7 @@ def twisted_leibniz_check(bindings=None) -> CheckReport:
     for rel in xspace.relations:
         for i in (1, 2, 3):
             out = apply_derivative(i, rel, bindings=bindings)
-            ok = xsys.normal_form(out).is_zero()
+            ok = out.is_zero()
             items.append(
                 CheckItem(
                     f"derivative {i} annihilates relation {rel.render()}",
@@ -156,7 +159,7 @@ def twisted_leibniz_check(bindings=None) -> CheckReport:
         p = NCPoly.word(xspace.table, word)
         via_raw = apply_derivative(i, p, bindings=bindings)
         via_nf = apply_derivative(i, xsys.normal_form(p), bindings=bindings)
-        ok = xsys.normal_form(via_raw - via_nf).is_zero()
+        ok = (via_raw - via_nf).is_zero()
         items.append(
             CheckItem(
                 f"derivative {i} on {'1' if not word else p.render()}:"

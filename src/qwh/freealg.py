@@ -68,6 +68,24 @@ def deglex_key(w: Word):
     return (len(w), tuple(-g for g in w))
 
 
+#: the terms of 1, the image of the empty word under any algebra map
+_UNIT: Dict[Word, Scalar] = {EMPTY_WORD: sc.ONE}
+
+
+def _terms_over(table: GenTable, p: "NCPoly") -> Dict[Word, Scalar]:
+    """p's terms, once p is known to be over `table`."""
+    if p.table is not table and p.table != table:
+        raise AlgebraError("mismatched generator tables")
+    return p.terms
+
+
+def _add_scaled(out: Dict[Word, Scalar], terms: Dict[Word, Scalar], c: Scalar):
+    """out += terms * c, in place, term by term."""
+    for v, d in terms.items():
+        d = d * c
+        out[v] = out[v] + d if v in out else d
+
+
 class NCPoly:
     """Finite Scalar-linear combination of words over a fixed table.  The
     constructor drops zero coefficients; it is the one place that does."""
@@ -198,24 +216,37 @@ class NCPoly:
         return NCPoly(dst, out)
 
     def map_words(self, table, fn) -> "NCPoly":
-        """Linear extension of a word map fn: Word -> NCPoly over `table`."""
-        out = NCPoly.zero(table)
+        """Linear extension of a word map fn: Word -> NCPoly over `table`.
+        Every term d*v of fn(w), for every term c*w, adds d*c to v in one
+        accumulator dict, and the result is the one NCPoly built from it."""
+        out: Dict[Word, Scalar] = {}
         for w, c in self.terms.items():
-            out = out + fn(w).scale(c)
-        return out
+            _add_scaled(out, _terms_over(table, fn(w)), c)
+        return NCPoly(table, out)
 
     def map_letters(self, table, images, reverse=False) -> "NCPoly":
         """The algebra map sending each letter g to images[g] (an NCPoly
         over `table`), extended linearly; with reverse, the
-        anti-homomorphism, which multiplies the images in reverse order."""
-
-        def image(w: Word) -> NCPoly:
-            out = NCPoly.one(table)
-            for g in reversed(w) if reverse else w:
-                out = out * images[g]
-            return out
-
-        return self.map_words(table, image)
+        anti-homomorphism, which sends g1*...*gn to images[gn]*...*images[g1].
+        Each word's product of images is expanded factor by factor in plain
+        dicts and added into one accumulator, as in `map_words`: no NCPoly
+        is built per factor or per word."""
+        out: Dict[Word, Scalar] = {}
+        for w, c in self.terms.items():
+            if reverse:
+                w = w[::-1]
+            prod = _terms_over(table, images[w[0]]) if w else _UNIT
+            for g in w[1:]:
+                factor = _terms_over(table, images[g]).items()
+                step: Dict[Word, Scalar] = {}
+                for w1, c1 in prod.items():
+                    for w2, c2 in factor:
+                        v = w1 + w2
+                        d = c1 * c2
+                        step[v] = step[v] + d if v in step else d
+                prod = step
+            _add_scaled(out, prod, c)
+        return NCPoly(table, out)
 
     # -- rendering --------------------------------------------------------
 

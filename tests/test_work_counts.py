@@ -62,7 +62,7 @@ ROWS = {
         {
             "scalar._field_op": 145,
             "Scalar.substitute": 149,
-            "RewriteSystem.normal_form": 802,
+            "RewriteSystem.normal_form": 773,
             "RewriteSystem.find_redex": 3873,
         },
     ),
@@ -71,7 +71,7 @@ ROWS = {
         {
             "scalar._field_op": 147,
             "Scalar.substitute": 149,
-            "RewriteSystem.normal_form": 1522,
+            "RewriteSystem.normal_form": 1493,
             "RewriteSystem.find_redex": 5721,
         },
     ),
@@ -80,7 +80,7 @@ ROWS = {
         {
             "scalar._field_op": 75,
             "Scalar.substitute": 419,
-            "RewriteSystem.normal_form": 1302,
+            "RewriteSystem.normal_form": 1273,
             "RewriteSystem.find_redex": 5046,
         },
     ),
@@ -89,7 +89,7 @@ ROWS = {
         {
             "scalar._field_op": 75,
             "Scalar.substitute": 149,
-            "RewriteSystem.normal_form": 618,
+            "RewriteSystem.normal_form": 589,
             "RewriteSystem.find_redex": 3241,
         },
     ),
