@@ -11,7 +11,6 @@ from .coaction import (
     MixedAlgebra,
     ansatz_check,
     ansatz_solve,
-    coact,
     comodule_check,
     constraint_span_check,
     derive_group_constraints,
@@ -27,7 +26,7 @@ from .diffcalc import (
     wz_system,
 )
 from .exprparse import ParseError, SourceSpan, parse_poly_text, parse_scalar_text
-from .freealg import GenTable, NCPoly, deglex_key
+from .freealg import AlgebraMap, GenTable, NCPoly, deglex_key
 from .linalg import (
     Matrix,
     eigenspace_identification,

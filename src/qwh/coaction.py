@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .freealg import NCPoly, Word
+from .freealg import AlgebraMap, NCPoly, Word
 from .linalg import quadratic_vectors, row_space
 from .presentations import (
     Presentation,
@@ -30,8 +30,10 @@ class CoactionError(Exception):
 
 class MixedAlgebra(TensorAlgebra):
     """The space block (first) tensored with the group block (second), with
-    the coaction delta(x_i) = sum_j T_ij (x) x_j of each space generator,
-    x_i being generator `self.vector[i]` (the space's `vector`, or table order)."""
+    the coaction `coact`, the algebra map delta(x_i) = sum_j T_ij (x) x_j of
+    each space generator, x_i being generator `self.vector[i]` (the space's
+    `vector`, or table order).  Its images are not block-sorted
+    (`normal_form` with free blocks sorts them)."""
 
     def __init__(self, group: Presentation, space: Presentation):
         if group.matrix is None:
@@ -42,31 +44,18 @@ class MixedAlgebra(TensorAlgebra):
                 f" {len(group.matrix)} of {group.name}'s matrix"
             )
         super().__init__(space, group)
-        self.group = group
         self.space = space
         self.vector = space.vector or tuple(range(len(space.table)))
-        self.images = {}
+        images = [None] * len(space.table)
         for x, row in zip(self.vector, group.matrix):
             pairs = [(g, y) for y, g in zip(self.vector, row) if g is not None]
             words = {(self.second[g], self.first[y]): ONE for g, y in pairs}
-            self.images[x] = NCPoly(self.table, words)
+            images[x] = NCPoly(self.table, words)
+        self.coact = AlgebraMap(space.table, self.table, images)
 
     def coordinates(self, w: Word) -> Word:
         """A space word as the coordinate index of each letter."""
         return tuple(self.vector.index(g) for g in w)
-
-    def coact(self, p: NCPoly) -> NCPoly:
-        """delta extended multiplicatively to polynomials; result is not
-        block-sorted (`normal_form` with free blocks sorts it)."""
-        if p.table != self.space.table:
-            raise CoactionError("polynomial is not over the space generators")
-        return p.map_letters(self.table, self.images)
-
-
-def coact(p: NCPoly, group: Presentation, space: Presentation) -> NCPoly:
-    """Block-sorted coaction image of a space polynomial."""
-    mixed = MixedAlgebra(group, space)
-    return mixed.normal_form(mixed.coact(p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Free associative algebra: generator tables, words, deg-lex order, NCPoly."""
+"""Free associative algebra: generator tables, words, deg-lex order, NCPoly,
+and AlgebraMap, the algebra map fixed by the images of the generators (the
+coactions and the coproduct, counit and antipode of the quantum groups)."""
 
 from __future__ import annotations
 
@@ -66,17 +68,6 @@ def deglex_key(w: Word):
     table position is its rank: ascending key = ascending order, and
     generator id 0 is the largest letter."""
     return (len(w), tuple(-g for g in w))
-
-
-#: the terms of 1, the image of the empty word under any algebra map
-_UNIT: Dict[Word, Scalar] = {EMPTY_WORD: sc.ONE}
-
-
-def _terms_over(table: GenTable, p: "NCPoly") -> Dict[Word, Scalar]:
-    """p's terms, once p is known to be over `table`."""
-    if p.table is not table and p.table != table:
-        raise AlgebraError("mismatched generator tables")
-    return p.terms
 
 
 def _add_scaled(out: Dict[Word, Scalar], terms: Dict[Word, Scalar], c: Scalar):
@@ -221,31 +212,10 @@ class NCPoly:
         accumulator dict, and the result is the one NCPoly built from it."""
         out: Dict[Word, Scalar] = {}
         for w, c in self.terms.items():
-            _add_scaled(out, _terms_over(table, fn(w)), c)
-        return NCPoly(table, out)
-
-    def map_letters(self, table, images, reverse=False) -> "NCPoly":
-        """The algebra map sending each letter g to images[g] (an NCPoly
-        over `table`), extended linearly; with reverse, the
-        anti-homomorphism, which sends g1*...*gn to images[gn]*...*images[g1].
-        Each word's product of images is expanded factor by factor in plain
-        dicts and added into one accumulator, as in `map_words`: no NCPoly
-        is built per factor or per word."""
-        out: Dict[Word, Scalar] = {}
-        for w, c in self.terms.items():
-            if reverse:
-                w = w[::-1]
-            prod = _terms_over(table, images[w[0]]) if w else _UNIT
-            for g in w[1:]:
-                factor = _terms_over(table, images[g]).items()
-                step: Dict[Word, Scalar] = {}
-                for w1, c1 in prod.items():
-                    for w2, c2 in factor:
-                        v = w1 + w2
-                        d = c1 * c2
-                        step[v] = step[v] + d if v in step else d
-                prod = step
-            _add_scaled(out, prod, c)
+            image = fn(w)
+            if image.table is not table and image.table != table:
+                raise AlgebraError("mismatched generator tables")
+            _add_scaled(out, image.terms, c)
         return NCPoly(table, out)
 
     # -- rendering --------------------------------------------------------
@@ -281,3 +251,49 @@ class NCPoly:
 
     def __repr__(self):
         return f"NCPoly({self.render()})"
+
+
+#: the terms of 1, the image of the empty word under any algebra map
+_UNIT: Dict[Word, Scalar] = {EMPTY_WORD: sc.ONE}
+
+
+class AlgebraMap:
+    """The algebra map from the free algebra on `source` to the one on
+    `table` that sends generator g to images[g], an NCPoly over `table`;
+    with anti, the anti-homomorphism, which sends g1*...*gn to
+    images[gn]*...*images[g1].  A counit maps into the ground table, the
+    one with no generators.  The map descends to a quotient of the source
+    when every relation maps into the target's ideal."""
+
+    def __init__(self, source: GenTable, table: GenTable, images, anti=False):
+        images = list(images)
+        if len(images) != len(source):
+            raise AlgebraError(f"{len(images)} images for {len(source)} generators")
+        if any(im.table != table for im in images):
+            raise AlgebraError("mismatched generator tables")
+        self.source, self.table, self.images, self.anti = source, table, images, anti
+        self._terms = [im.terms for im in images]
+
+    def __call__(self, p: NCPoly) -> NCPoly:
+        """p's image.  Each word's product of images is expanded factor by
+        factor in plain dicts and added into one accumulator, as in
+        `NCPoly.map_words`: no NCPoly is built per factor or per word."""
+        if p.table is not self.source and p.table != self.source:
+            raise AlgebraError("polynomial is not over the map's source table")
+        images = self._terms
+        out: Dict[Word, Scalar] = {}
+        for w, c in p.terms.items():
+            if self.anti:
+                w = w[::-1]
+            prod = images[w[0]] if w else _UNIT
+            for g in w[1:]:
+                factor = images[g].items()
+                step: Dict[Word, Scalar] = {}
+                for w1, c1 in prod.items():
+                    for w2, c2 in factor:
+                        v = w1 + w2
+                        d = c1 * c2
+                        step[v] = step[v] + d if v in step else d
+                prod = step
+            _add_scaled(out, prod, c)
+        return NCPoly(self.table, out)

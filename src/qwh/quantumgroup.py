@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import scalar as sc
-from .freealg import GenTable, NCPoly
+from .freealg import AlgebraMap, GenTable, NCPoly
 from .linalg import Matrix, kron, quadratic_vectors, rhat_builtin, row_space
 from .memo import memoised, specialised
 from .presentations import (
@@ -352,36 +352,30 @@ _GROUND = GenTable([])
 @dataclass
 class HopfData:
     """Coproduct, counit and antipode of the extended algebra (matrix
-    entries plus determinant inverse `dinv`).  Each is the algebra map
-    fixed by its images of the generators, listed by generator id; the
-    antipode is an anti-homomorphism.  The coproduct lands in `doubled`,
-    two commuting copies of the extended algebra: the left copy comes
-    first in its table, so normal words read the right copy first; reduce
-    there with `doubled.normal_form(p, system, system)`, where `system` is
-    `ext.rewrite_system()`."""
+    entries plus determinant inverse `dinv`), each an `AlgebraMap` fixed by
+    its images of the generators; the antipode is an anti-homomorphism and
+    the counit maps into the ground table.  The coproduct lands in
+    `doubled`, two commuting copies of the extended algebra: the left copy
+    comes first in its table, so normal words read the right copy first;
+    reduce there with `doubled.normal_form(p, system, system)`, where
+    `system` is `ext.rewrite_system()`."""
 
     #: `extended_presentation(which, bindings)`
     ext: Presentation
     doubled: TensorAlgebra
     dinv: NCPoly
-    coproduct_images: List[NCPoly]
-    counit_images: List[NCPoly]
-    antipode_images: List[NCPoly]
-
-    def coproduct(self, p: NCPoly) -> NCPoly:
-        return p.map_letters(self.doubled.table, self.coproduct_images)
-
-    def counit(self, p: NCPoly) -> Scalar:
-        return p.map_letters(_GROUND, self.counit_images).as_scalar()
-
-    def antipode(self, p: NCPoly) -> NCPoly:
-        return p.map_letters(self.ext.table, self.antipode_images, reverse=True)
+    coproduct: AlgebraMap
+    counit: AlgebraMap
+    antipode: AlgebraMap
 
 
 def hopf_data(which: str, bindings=None) -> HopfData:
     """The Hopf structure of H8 or H10 on its extended algebra: the only
-    place the antipode S(T) = adjugate x det-inverse is built.  Memoised
-    like `group_system`."""
+    place the antipode S(T) = adjugate x det-inverse is built.  Each map's
+    images of the matrix generators are the entries of one matrix at their
+    grid positions, Delta(T) = T (x) T, epsilon(T) = I and S(T) = adjugate x
+    det-inverse; the det-inverse's image follows.  Memoised like
+    `group_system`."""
     def make():
         ext = extended_presentation(which, bindings)
         pres = group_presentation(which, bindings)
@@ -394,6 +388,10 @@ def hopf_data(which: str, bindings=None) -> HopfData:
             for j, g in enumerate(row)
             if g is not None
         }
+
+        def images(P, dinv_image):  # P's entries, then the det-inverse's image
+            return [P[position[g]] for g in range(dinv_gid)] + [dinv_image]
+
         doubled = TensorAlgebra(
             ext, ext, [f"{n}.{side}" for side in "lr" for n in ext.table.names]
         )
@@ -403,32 +401,23 @@ def hopf_data(which: str, bindings=None) -> HopfData:
             return M.map(lambda e: e.relabel(doubled.table, ids), NCPoly.zero(doubled.table))
 
         delta = in_copy(doubled.first) * in_copy(doubled.second)
-        A = adjugate(which, bindings).map(
-            lambda e: e.relabel(ext.table, to_ext), NCPoly.zero(ext.table)
+        unit = Matrix.identity(3).map(
+            lambda c: NCPoly.constant(_GROUND, c), NCPoly.zero(_GROUND)
         )
-        coproduct_images, counit_images, antipode_images = [], [], []
-        for g in range(len(ext.table)):
-            if g == dinv_gid:
-                coproduct_images.append(doubled.tensor(dinv, dinv))
-                counit_images.append(NCPoly.one(_GROUND))
-                # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
-                antipode_images.append(
-                    determinant(which, bindings).relabel(ext.table, to_ext)
-                )
-            else:
-                i, j = position[g]
-                coproduct_images.append(delta[i, j])
-                counit_images.append(
-                    NCPoly.one(_GROUND) if i == j else NCPoly.zero(_GROUND)
-                )
-                antipode_images.append(A[i, j] * dinv)
+        S = adjugate(which, bindings).map(
+            lambda e: e.relabel(ext.table, to_ext) * dinv, NCPoly.zero(ext.table)
+        )
+        # S(D^{-1}) = D, since S(D) = D^{-1} and S is an anti-automorphism
+        det = determinant(which, bindings).relabel(ext.table, to_ext)
         return HopfData(
             ext=ext,
             doubled=doubled,
             dinv=dinv,
-            coproduct_images=coproduct_images,
-            counit_images=counit_images,
-            antipode_images=antipode_images,
+            coproduct=AlgebraMap(
+                ext.table, doubled.table, images(delta, doubled.tensor(dinv, dinv))
+            ),
+            counit=AlgebraMap(ext.table, _GROUND, images(unit, NCPoly.one(_GROUND))),
+            antipode=AlgebraMap(ext.table, ext.table, images(S, det), anti=True),
         )
 
     return memoised(("hopf", which), bindings, make)
@@ -476,7 +465,8 @@ def hopf_check(which: str, bindings=None) -> CheckReport:
 
     def counit_x_id(w):  # evaluate the left copy of a doubled word
         left, right = data.doubled.split(w)
-        return NCPoly.word(ext.table, right, data.counit(NCPoly.word(ext.table, left)))
+        c = data.counit(NCPoly.word(ext.table, left)).as_scalar()
+        return NCPoly.word(ext.table, right, c)
 
     split_ok = all(
         data.coproduct(g).map_words(ext.table, counit_x_id) == g

@@ -1,4 +1,13 @@
+import os
+
 import pytest
+from hypothesis import settings
+
+# a falsifying example found in CI prints the blob that reproduces it
+# (`@reproduce_failure`); the tests keep their own example counts
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ACCEPTANCE_LINES = []
 

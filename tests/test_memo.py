@@ -13,7 +13,7 @@ import pytest
 from qwh import memo, quantumgroup, rewrite
 from qwh.cli import _SUITES
 from qwh.diffcalc import wz_relations, wz_system
-from qwh.freealg import NCPoly
+from qwh.freealg import AlgebraMap, NCPoly
 from qwh.linalg import Matrix, rhat_builtin
 from qwh.memo import bindings_key, memoised
 from qwh.presentations import (
@@ -24,6 +24,7 @@ from qwh.presentations import (
     transcribed_T_constraints,
 )
 from qwh.quantumgroup import (
+    HopfData,
     adjugate,
     determinant,
     extended_system,
@@ -34,6 +35,7 @@ from qwh.quantumgroup import (
     rtt_relations,
 )
 from qwh.rewrite import build_rules, complete
+from qwh.scalar import Scalar
 
 POINT = {"u": 2, "s": 3}
 
@@ -136,15 +138,17 @@ def _snapshot(obj):
         return [_snapshot(x) for x in obj]
     if isinstance(obj, Matrix):
         return [[_snapshot(e) for e in row] for row in obj.entries]
-    if hasattr(obj, "antipode_images"):  # a HopfData; its system is listed apart
-        return _snapshot(
-            [obj.ext.relations, obj.coproduct_images, obj.counit_images, obj.antipode_images]
-        )
+    if isinstance(obj, AlgebraMap):
+        return _snapshot(obj.images)
+    if isinstance(obj, HopfData):  # its system is listed apart
+        return _snapshot([obj.ext.relations, obj.coproduct, obj.counit, obj.antipode])
     if hasattr(obj, "relations"):  # a Presentation
         return _snapshot(obj.relations)
     if hasattr(obj, "rules"):  # a RewriteSystem
         return [(r.lhs, dict(r.rhs.terms)) for r in obj.rules]
-    return obj  # a Scalar
+    # anything else would be compared with itself, so no mutation could show
+    assert isinstance(obj, Scalar), f"no snapshot of a {type(obj).__name__}"
+    return obj
 
 
 def _cached_objects():
